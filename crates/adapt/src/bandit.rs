@@ -12,7 +12,7 @@
 use evorec_core::{Item, ScoreBoost};
 use evorec_kb::FxHashMap;
 use evorec_measures::MeasureId;
-use parking_lot::RwLock;
+use sched::sync::RwLock;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::event::Reaction;

@@ -12,7 +12,6 @@
 
 use crate::profile::UserId;
 use evorec_kb::{FxHashMap, FxHashSet, TermId};
-use serde::{Deserialize, Serialize};
 
 /// One user's (private) change feed: change mass per class.
 #[derive(Clone, Debug)]
@@ -44,7 +43,7 @@ impl UserFeed {
 }
 
 /// A disclosed aggregate cell.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct AnonymisedCell {
     /// The (possibly generalised) class the cell reports on.
     pub class: TermId,
@@ -58,7 +57,7 @@ pub struct AnonymisedCell {
 }
 
 /// The k-anonymous overview plus its utility accounting.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct AnonymisedReport {
     /// Disclosed cells, ordered by descending mass (ties by class id).
     pub cells: Vec<AnonymisedCell>,

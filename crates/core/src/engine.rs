@@ -333,25 +333,15 @@ impl Recommender {
 
     /// Recommend `top_k` items for one user.
     pub fn recommend(&self, ctx: &EvolutionContext, profile: &UserProfile) -> Recommendation {
-        self.recommend_with_boost(ctx, profile, None)
+        self.recommend_observed(ctx, profile, None, None, SpanHandle::NONE)
     }
 
-    /// Recommend with an optional [`ScoreBoost`] steering the selection
-    /// objective. `None` is exactly [`recommend`](Recommender::recommend)
-    /// — bit for bit, so exploration-off serving stays deterministic and
-    /// cache-identical.
-    pub fn recommend_with_boost(
-        &self,
-        ctx: &EvolutionContext,
-        profile: &UserProfile,
-        boost: Option<&dyn ScoreBoost>,
-    ) -> Recommendation {
-        self.recommend_observed(ctx, profile, boost, None, SpanHandle::NONE)
-    }
-
-    /// [`recommend_with_boost`](Recommender::recommend_with_boost) with
-    /// span instrumentation: children `cache_probe`, `measure_compute`
-    /// (cold only), and `mmr_boost` are opened under `parent`. Tracing
+    /// [`recommend`](Recommender::recommend) with an optional
+    /// [`ScoreBoost`] steering the selection objective and span
+    /// instrumentation: children `cache_probe`, `measure_compute`
+    /// (cold only), and `mmr_boost` are opened under `parent`. A `None`
+    /// boost is exactly `recommend` — bit for bit, so exploration-off
+    /// serving stays deterministic and cache-identical. Tracing
     /// observes timing only — the scoring path is byte-for-byte the
     /// untraced one, so serving output is bit-identical with the tracer
     /// on, off, or absent.
@@ -934,7 +924,7 @@ mod tests {
         let r = recommender();
         let profile = UserProfile::new(UserId(1), "a").with_interest(w.leaf_a, 1.0);
         let plain = r.recommend(&w.ctx, &profile);
-        let unboosted = r.recommend_with_boost(&w.ctx, &profile, None);
+        let unboosted = r.recommend_observed(&w.ctx, &profile, None, None, SpanHandle::NONE);
         let detail = |rec: &Recommendation| {
             rec.items
                 .iter()
@@ -968,7 +958,13 @@ mod tests {
             .last()
             .map(|s| s.item.measure.clone())
             .expect("non-empty recommendation");
-        let steered = r.recommend_with_boost(&w.ctx, &profile, Some(&Only(target.clone())));
+        let steered = r.recommend_observed(
+            &w.ctx,
+            &profile,
+            Some(&Only(target.clone())),
+            None,
+            SpanHandle::NONE,
+        );
         assert_eq!(
             steered.items[0].item.measure, target,
             "boosted measure wins the selection objective"

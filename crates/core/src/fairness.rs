@@ -8,10 +8,8 @@
 //! satisfaction, and diagnostics (min/mean satisfaction, Jain index,
 //! envy) to make the selection's fairness inspectable.
 
-use serde::{Deserialize, Serialize};
-
 /// How per-member relevance is aggregated into a group objective.
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum GroupAggregation {
     /// Mean member relevance (utilitarian).
     Average,
@@ -245,7 +243,7 @@ fn maximin_swap_refine(matrix: &RelevanceMatrix, selection: &mut [usize]) {
 }
 
 /// Fairness diagnostics of one group selection.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FairnessReport {
     /// Minimum member satisfaction.
     pub min_satisfaction: f64,

@@ -10,10 +10,9 @@
 
 use crate::item::Item;
 use crate::profile::UserProfile;
-use serde::{Deserialize, Serialize};
 
 /// A user's reaction to one recommended item.
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum FeedbackSignal {
     /// The user opened / used the recommendation.
     Accepted,

@@ -2,12 +2,11 @@
 
 use evorec_kb::TermId;
 use evorec_measures::{MeasureCategory, MeasureId};
-use serde::{Deserialize, Serialize};
 
 /// The unit of recommendation: *look at this measure, focused on this
 /// part of the knowledge base*. Candidates are drawn from the top
 /// regions of each measure's report.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Item {
     /// Which measure to look at.
     pub measure: MeasureId,
@@ -43,7 +42,7 @@ impl Item {
 }
 
 /// An item together with its user-facing score decomposition.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ScoredItem {
     /// The recommended item.
     pub item: Item,

@@ -8,10 +8,9 @@
 
 use evorec_kb::{FxHashMap, FxHashSet, TermId};
 use evorec_measures::MeasureId;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a human in the loop.
-#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct UserId(pub u32);
 
 impl std::fmt::Display for UserId {
@@ -21,7 +20,7 @@ impl std::fmt::Display for UserId {
 }
 
 /// A `(measure, focus)` pair a user has already been shown.
-#[derive(Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct SeenItem {
     /// The measure of the shown item.
     pub measure: MeasureId,
@@ -30,14 +29,13 @@ pub struct SeenItem {
 }
 
 /// One human's interaction state.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct UserProfile {
     /// The user's identifier.
     pub id: UserId,
     /// Display name.
     pub name: String,
     interests: FxHashMap<TermId, f64>,
-    #[serde(skip)]
     seen: FxHashSet<SeenItem>,
     /// `true` if this user's change feed must only ever be disclosed
     /// through the k-anonymous aggregation path (§III(e)).
@@ -137,7 +135,7 @@ impl UserProfile {
 
 /// A named group of users (§III(d): e.g. "the curators' team of a
 /// knowledge base").
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Group {
     /// Group name.
     pub name: String,

@@ -12,10 +12,9 @@ use crate::feedback::{FeedbackLoop, FeedbackSignal};
 use crate::item::Item;
 use crate::profile::UserProfile;
 use evorec_measures::EvolutionContext;
-use serde::{Deserialize, Serialize};
 
 /// One round of a simulated session.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SessionRound {
     /// Round index (0-based).
     pub round: usize,

@@ -12,10 +12,9 @@ use crate::item::ScoredItem;
 use evorec_kb::{TermInterner, Triple};
 use evorec_measures::{EvolutionContext, MeasureRegistry};
 use evorec_versioning::{ProvenanceLedger, RecordId};
-use serde::{Deserialize, Serialize};
 
 /// A structured explanation of one recommendation.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Explanation {
     /// The measure that fired.
     pub measure: String,
@@ -40,7 +39,7 @@ pub struct Explanation {
 }
 
 /// One provenance citation inside an explanation.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ProvenanceLine {
     /// Ledger record id.
     pub record: RecordId,

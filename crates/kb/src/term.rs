@@ -1,6 +1,5 @@
 //! RDF terms and their compact interned identifiers.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Compact identifier for an interned [`Term`].
@@ -10,7 +9,7 @@ use std::fmt;
 /// to the interner that produced them. All higher layers (stores, deltas,
 /// measures, recommenders) operate on `TermId`s and never on term text,
 /// which keeps triples at 12 bytes and comparisons branch-free.
-#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TermId(u32);
 
 impl TermId {
@@ -55,7 +54,7 @@ impl fmt::Display for TermId {
 ///
 /// Literals carry an optional datatype IRI *or* an optional language tag
 /// (mutually exclusive per RDF 1.1; plain literals have neither).
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Term {
     /// An IRI reference such as `http://example.org/Person`.
     Iri(Box<str>),

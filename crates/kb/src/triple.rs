@@ -1,16 +1,13 @@
 //! Triples over interned terms and match patterns over them.
 
 use crate::term::TermId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A subject–predicate–object statement over interned terms.
 ///
 /// Twelve bytes, `Copy`, totally ordered — the unit of storage, diffing,
 /// and change counting throughout the workspace.
-#[derive(
-    Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Triple {
     /// Subject term.
     pub s: TermId,

@@ -3,11 +3,10 @@
 use crate::context::EvolutionContext;
 use crate::report::MeasureReport;
 use evorec_versioning::LowLevelDelta;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Stable identifier of a measure (unique within a registry).
-#[derive(Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct MeasureId(pub String);
 
 impl MeasureId {
@@ -37,7 +36,7 @@ impl From<&str> for MeasureId {
 /// The paper's §II taxonomy of evolution measures. Categories drive the
 /// *semantic* diversity dimension of the recommender (§III(c): "selecting
 /// items that belong to different categories and topics").
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub enum MeasureCategory {
     /// Raw change counting (§II(a)).
     ChangeCounting,
@@ -84,7 +83,7 @@ impl fmt::Display for MeasureCategory {
 }
 
 /// What kind of schema element a measure scores.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub enum TargetKind {
     /// The measure ranks classes.
     Classes,
@@ -97,7 +96,7 @@ pub enum TargetKind {
 /// which measures are worth a dedicated worker thread: spawning costs
 /// more than a counting pass over the delta, so cheap measures always
 /// run inline.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub enum MeasureCost {
     /// Roughly linear in the delta / class count (counting passes,
     /// degree sums). Never worth a thread of its own.

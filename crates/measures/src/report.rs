@@ -2,12 +2,11 @@
 
 use crate::measure::{MeasureCategory, MeasureId, TargetKind};
 use evorec_kb::{FxHashMap, TermId};
-use serde::{Deserialize, Serialize};
 
 /// The result of evaluating one measure over one evolution step: scores
 /// per schema element, ranked descending (ties broken by ascending term
 /// id, so reports are deterministic).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct MeasureReport {
     /// Which measure produced this report.
     pub measure: MeasureId,
@@ -16,7 +15,6 @@ pub struct MeasureReport {
     /// Whether classes or properties were scored.
     pub target: TargetKind,
     scores: Vec<(TermId, f64)>,
-    #[serde(skip)]
     rank_index: FxHashMap<TermId, usize>,
 }
 

@@ -46,7 +46,7 @@ pub fn prometheus(samples: &[Sample]) -> String {
 /// Render samples as a JSON document:
 /// `{"metrics":[{"name":…,"labels":{…},"value":…},…]}`.
 ///
-/// Hand-rolled (the serde shim has no serializer); values that are
+/// Hand-rolled (the workspace has no JSON library); values that are
 /// exact integers render without a decimal point so counters survive a
 /// JSON → u64 round-trip.
 pub fn json(samples: &[Sample]) -> String {

@@ -1,7 +1,7 @@
 //! A minimal, bounded JSON layer for the wire format.
 //!
-//! Hand-rolled because the serde shim has no `Value` type or
-//! serializer: a recursive-descent parser over UTF-8 bytes with hard
+//! Hand-rolled because the workspace builds offline with no JSON
+//! library: a recursive-descent parser over UTF-8 bytes with hard
 //! depth and size limits, plus the escape/number helpers the encoders
 //! share. Everything here is panic-free by construction — malformed,
 //! truncated, or hostile input comes back as [`JsonError`], never as

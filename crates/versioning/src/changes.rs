@@ -9,10 +9,9 @@
 
 use crate::delta::LowLevelDelta;
 use evorec_kb::{FxHashMap, SchemaView, TermId, TermInterner, Triple, Vocab};
-use serde::{Deserialize, Serialize};
 
 /// The category of a high-level change (for aggregation and stats).
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub enum ChangeKind {
     /// A class came into existence.
     AddClass,
@@ -91,7 +90,7 @@ impl ChangeKind {
 }
 
 /// One semantically grouped change between two versions.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Change {
     /// Class `0` came into existence.
     AddClass(TermId),

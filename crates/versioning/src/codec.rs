@@ -16,7 +16,6 @@
 //! the raw id), exploiting SPO sort order.
 
 use crate::delta::LowLevelDelta;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use evorec_kb::{TermId, Triple};
 use std::fmt;
 
@@ -49,30 +48,28 @@ impl fmt::Display for CodecError {
 impl std::error::Error for CodecError {}
 
 /// Encode a delta into its wire representation.
-pub fn encode_delta(delta: &LowLevelDelta) -> Bytes {
-    let mut buf = BytesMut::with_capacity(8 + delta.size() * 6);
-    buf.put_slice(MAGIC);
+pub fn encode_delta(delta: &LowLevelDelta) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(8 + delta.size() * 6);
+    buf.extend_from_slice(MAGIC);
     encode_side(&mut buf, delta.added.iter());
     encode_side(&mut buf, delta.removed.iter());
-    buf.freeze()
+    buf
 }
 
 /// Decode a wire representation produced by [`encode_delta`].
 pub fn decode_delta(bytes: &[u8]) -> Result<LowLevelDelta, CodecError> {
-    let mut buf = bytes;
-    if buf.remaining() < 4 || &buf[..4] != MAGIC {
+    let Some(mut buf) = bytes.strip_prefix(MAGIC) else {
         return Err(CodecError::BadMagic);
-    }
-    buf.advance(4);
+    };
     let added = decode_side(&mut buf)?;
     let removed = decode_side(&mut buf)?;
-    if buf.has_remaining() {
-        return Err(CodecError::TrailingBytes(buf.remaining()));
+    if !buf.is_empty() {
+        return Err(CodecError::TrailingBytes(buf.len()));
     }
     Ok(LowLevelDelta::from_parts(added, removed))
 }
 
-fn encode_side(buf: &mut BytesMut, triples: impl Iterator<Item = Triple>) {
+fn encode_side(buf: &mut Vec<u8>, triples: impl Iterator<Item = Triple>) {
     let sorted: Vec<Triple> = triples.collect(); // store iterates in SPO order
     put_varint(buf, sorted.len() as u64);
     let mut prev_s = 0u32;
@@ -105,15 +102,15 @@ fn decode_side(buf: &mut &[u8]) -> Result<Vec<Triple>, CodecError> {
     Ok(out)
 }
 
-fn put_varint(buf: &mut BytesMut, mut value: u64) {
+fn put_varint(buf: &mut Vec<u8>, mut value: u64) {
     loop {
         let byte = (value & 0x7f) as u8;
         value >>= 7;
         if value == 0 {
-            buf.put_u8(byte);
+            buf.push(byte);
             return;
         }
-        buf.put_u8(byte | 0x80);
+        buf.push(byte | 0x80);
     }
 }
 
@@ -121,14 +118,17 @@ fn get_varint(buf: &mut &[u8]) -> Result<u64, CodecError> {
     let mut value: u64 = 0;
     let mut shift = 0u32;
     loop {
-        if !buf.has_remaining() {
+        let Some((&byte, rest)) = buf.split_first() else {
             return Err(CodecError::UnexpectedEof);
-        }
-        let byte = buf.get_u8();
-        if shift >= 64 {
+        };
+        *buf = rest;
+        // The tenth byte lands at shift 63, where only its lowest payload
+        // bit still fits in a u64; any higher bit would be shifted out.
+        let payload = u64::from(byte & 0x7f);
+        if shift >= 64 || (payload << shift) >> shift != payload {
             return Err(CodecError::Overflow);
         }
-        value |= u64::from(byte & 0x7f) << shift;
+        value |= payload << shift;
         if byte & 0x80 == 0 {
             return Ok(value);
         }
@@ -205,14 +205,42 @@ mod tests {
     #[test]
     fn trailing_bytes_rejected() {
         let d = LowLevelDelta::new();
-        let mut wire = encode_delta(&d).to_vec();
+        let mut wire = encode_delta(&d);
         wire.push(0);
         assert_eq!(decode_delta(&wire), Err(CodecError::TrailingBytes(1)));
     }
 
     #[test]
+    fn wire_bytes_are_pinned() {
+        let d =
+            LowLevelDelta::from_parts([tr(10, 1, 2), tr(10, 1, 3), tr(300, 2, 2)], [tr(9, 1, 2)]);
+        let expected: &[u8] = &[
+            0x45, 0x56, 0x44, 0x31, // magic "EVD1"
+            0x03, // added count
+            0x0A, 0x01, 0x02, // Δs 10, p 1, o 2
+            0x00, 0x01, 0x03, // Δs 0, p 1, o 3
+            0xA2, 0x02, 0x02, 0x02, // Δs 290 (two-byte varint), p 2, o 2
+            0x01, // removed count
+            0x09, 0x01, 0x02, // Δs 9, p 1, o 2
+        ];
+        let wire = encode_delta(&d);
+        assert_eq!(&wire[..], expected);
+        assert_eq!(decode_delta(expected).unwrap(), d);
+    }
+
+    #[test]
+    fn over_long_varint_rejected() {
+        // Nine continuation bytes put the tenth at shift 63, where its
+        // payload 2 does not fit in a u64.
+        let mut wire = b"EVD1".to_vec();
+        wire.extend_from_slice(&[0x80; 9]);
+        wire.extend_from_slice(&[0x02, 0x00]);
+        assert_eq!(decode_delta(&wire), Err(CodecError::Overflow));
+    }
+
+    #[test]
     fn varint_boundaries() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         for v in [0u64, 127, 128, 16_383, 16_384, u32::MAX as u64] {
             buf.clear();
             put_varint(&mut buf, v);

@@ -10,11 +10,10 @@
 use crate::delta::LowLevelDelta;
 use crate::version::VersionId;
 use evorec_kb::{FxHashMap, TermId};
-use serde::{Deserialize, Serialize};
 
 /// Why a change is believed correct — the paper's three sources for
 /// assessing correctness and reliability of provenance data.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub enum Justification {
     /// Direct observation (e.g. new experimental evidence).
     Observation,
@@ -36,11 +35,11 @@ impl std::fmt::Display for Justification {
 }
 
 /// Identifier of one provenance record within its ledger.
-#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct RecordId(pub u64);
 
 /// One documented change activity.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ProvenanceRecord {
     /// Ledger-local identifier.
     pub id: RecordId,

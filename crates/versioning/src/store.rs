@@ -3,7 +3,7 @@
 use crate::delta::LowLevelDelta;
 use crate::version::{VersionId, VersionInfo};
 use evorec_kb::{FxHashMap, SchemaView, Term, TermId, TermInterner, TripleStore, Vocab};
-use parking_lot::RwLock;
+use sched::sync::RwLock;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -13,7 +13,7 @@ use std::sync::Arc;
 /// across the whole history — deltas, schema views, and measure reports
 /// from different version pairs are directly comparable. Pairwise deltas
 /// and per-version schema views are memoised behind [`RwLock`]s
-/// (`parking_lot`) so repeated measure evaluations of the same evolution
+/// (`sched::sync`) so repeated measure evaluations of the same evolution
 /// step share the work.
 pub struct VersionedStore {
     interner: TermInterner,

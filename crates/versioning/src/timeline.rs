@@ -9,10 +9,9 @@
 
 use crate::store::VersionedStore;
 use evorec_kb::{FxHashMap, TermId};
-use serde::{Deserialize, Serialize};
 
 /// How a per-term change series behaves over time.
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum Trend {
     /// Change activity grows step over step.
     Rising,

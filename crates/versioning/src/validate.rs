@@ -9,10 +9,9 @@
 //! across versions turns the validator into a quality-drift signal.
 
 use evorec_kb::{FxHashMap, FxHashSet, SchemaView, TermId, TermInterner, Triple, TripleStore, Vocab};
-use serde::{Deserialize, Serialize};
 
 /// One defect found in a snapshot.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ValidationIssue {
     /// The subsumption hierarchy contains a cycle through these classes
     /// (in traversal order, first repeated class omitted).

@@ -1,13 +1,12 @@
 //! Version identifiers and metadata.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of one version (snapshot) in a linear history.
 ///
 /// Versions are numbered densely from zero in commit order, so a
 /// `VersionId` doubles as an index into the history.
-#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VersionId(u32);
 
 impl VersionId {
@@ -48,7 +47,7 @@ impl fmt::Display for VersionId {
 }
 
 /// Metadata describing one committed version.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct VersionInfo {
     /// The version's identifier.
     pub id: VersionId,

@@ -6,7 +6,7 @@ use evorec_measures::{EvolutionContext, MeasureRegistry};
 use evorec_obs::{span, SpanHandle, Tracer};
 use evorec_stream::{EpochCommit, EpochSink, LiveContext};
 use evorec_versioning::{EpochEntry, EpochRing, LowLevelDelta, VersionId, VersionedStore};
-use parking_lot::Mutex;
+use sched::sync::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 

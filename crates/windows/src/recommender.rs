@@ -111,42 +111,6 @@ impl WindowedRecommender {
         Some(self.recommender.recommend(&ctx, profile))
     }
 
-    /// Recommend against one window with an optional [`ScoreBoost`]
-    /// steering the selection objective (`None` is exactly
-    /// [`recommend`](WindowedRecommender::recommend)) — the hook the
-    /// online adaptation subsystem's exploration policies serve
-    /// through.
-    ///
-    /// [`ScoreBoost`]: evorec_core::ScoreBoost
-    pub fn recommend_with_boost(
-        &self,
-        window: &str,
-        profile: &UserProfile,
-        boost: Option<&dyn evorec_core::ScoreBoost>,
-    ) -> Option<Recommendation> {
-        self.recommend_observed(window, profile, boost, None, evorec_obs::SpanHandle::NONE)
-    }
-
-    /// [`recommend_with_boost`](WindowedRecommender::recommend_with_boost)
-    /// with span context: the engine times its `cache_probe`,
-    /// `measure_compute` and `mmr_boost` stages under `parent`. Tracing
-    /// observes timing only — the served recommendation is bit-identical
-    /// with the tracer on or off.
-    pub fn recommend_observed(
-        &self,
-        window: &str,
-        profile: &UserProfile,
-        boost: Option<&dyn evorec_core::ScoreBoost>,
-        tracer: Option<&evorec_obs::Tracer>,
-        parent: evorec_obs::SpanHandle,
-    ) -> Option<Recommendation> {
-        let ctx = self.context(window)?;
-        Some(
-            self.recommender
-                .recommend_observed(&ctx, profile, boost, tracer, parent),
-        )
-    }
-
     /// Recommend against every window, definition order. Each answer is
     /// what [`recommend`](WindowedRecommender::recommend) would return
     /// for that window alone.

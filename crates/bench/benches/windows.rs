@@ -2,44 +2,51 @@
 //! window-advance latency and k-window fan-out throughput.
 //!
 //! The advance path is the acceptance-critical one: every window moves
-//! by composing per-epoch deltas (`invert`/`compose` over the epoch
-//! ring plus one normalisation against the `from` snapshot) — the
-//! store's `delta_computations` counter, printed after the benches,
-//! stays flat across thousands of advances because no window ever
-//! re-diffs two snapshots.
+//! its span delta in place (`extend_by` each new epoch, `strip_front`
+//! each evicted one, over the epoch ring), and every window's context
+//! shares the store's per-version substrates. Each iteration replays
+//! the commit stream into a freshly built store, so its delta, schema
+//! and substrate caches start cold and the time is what a new epoch
+//! costs; building the stream is set-up and is not timed. After the
+//! benches the harness prints the store's snapshot-diff count (zero:
+//! no window ever re-diffs two snapshots) and substrate count (one per
+//! epoch plus the seed's, whatever the window count) for one replay.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use evorec_stream::{EpochCommit, IngestorConfig};
-use evorec_synth::workload::curated_kb;
 use evorec_synth::workload::streamed::committed_epochs;
+use evorec_synth::workload::{curated_kb, Workload};
 use evorec_versioning::{VersionId, VersionedStore};
 use evorec_windows::{WindowDef, WindowManager, WindowManagerOptions, WindowSpec};
 use std::hint::black_box;
 
-/// Replay a synth workload as many small epochs (micro-batched at
-/// `max_batch` events), returning the full store, the commit sequence,
-/// and the seed head managers replay from.
-fn commit_stream(max_batch: usize) -> (VersionedStore, Vec<EpochCommit>, VersionId) {
-    let world = curated_kb(120, 71);
-    let (ingestor, commits) = committed_epochs(&world, IngestorConfig {
-        max_batch,
+/// Micro-batch size the workload is replayed at (events per epoch).
+const MAX_BATCH: usize = 16;
+
+/// Replay `world` as many small epochs (micro-batched at `MAX_BATCH`
+/// events), returning the full store and the commit sequence; managers
+/// replay it from the seed head, version 0.
+fn commit_stream(world: &Workload) -> (VersionedStore, Vec<EpochCommit>) {
+    let (ingestor, commits) = committed_epochs(world, IngestorConfig {
+        max_batch: MAX_BATCH,
         ..Default::default()
     });
-    let seed_head = VersionId::from_u32(0);
     let (store, _ledger) = ingestor.into_parts();
-    (store, commits, seed_head)
+    (store, commits)
 }
 
-/// A manager anchored at the seed head, ready to replay the stream.
-fn manager_at_seed(
-    store: &VersionedStore,
-    seed_head: VersionId,
-    defs: Vec<WindowDef>,
-) -> WindowManager {
-    WindowManager::new(store, seed_head, defs, WindowManagerOptions {
+/// Replay `commits` through a manager over `defs` anchored at the seed
+/// head; returns the publish count.
+fn replay(store: &VersionedStore, commits: &[EpochCommit], defs: Vec<WindowDef>) -> u64 {
+    let seed_head = VersionId::from_u32(0);
+    let manager = WindowManager::new(store, seed_head, defs, WindowManagerOptions {
         head: Some(seed_head),
         ..Default::default()
-    })
+    });
+    for commit in commits {
+        manager.advance(store, commit);
+    }
+    manager.stats().publishes
 }
 
 /// The canonical curator set: last epoch, sliding band, since-clock,
@@ -57,30 +64,33 @@ fn four_windows() -> Vec<WindowDef> {
 /// four-window manager; per-epoch cost is the reported time divided by
 /// the epoch count in the bench id.
 fn bench_window_advance(c: &mut Criterion) {
-    let (store, commits, seed_head) = commit_stream(16);
+    let world = curated_kb(120, 71);
+    let epochs = commit_stream(&world).1.len();
     let mut group = c.benchmark_group("windows");
     group.sample_size(10);
-    group.bench_function(format!("advance_4w_{}epochs", commits.len()), |b| {
-        b.iter(|| {
-            let manager = manager_at_seed(&store, seed_head, four_windows());
-            for commit in &commits {
-                manager.advance(&store, commit);
-            }
-            black_box(manager.stats().publishes)
-        })
+    group.bench_function(format!("advance_4w_{epochs}epochs"), |b| {
+        b.iter_batched(
+            || commit_stream(&world),
+            |(store, commits)| black_box(replay(&store, &commits, four_windows())),
+            BatchSize::PerIteration,
+        )
     });
     group.finish();
+    let (store, commits) = commit_stream(&world);
+    replay(&store, &commits, four_windows());
     println!(
-        "windows: {} snapshot diffs total after every advance iteration \
-         (sliding/landmark advances run purely on delta composition)",
-        store.delta_computations()
+        "windows: {} snapshot diffs and {} substrates over one {epochs}-epoch \
+         four-window replay (spans advance in place; one substrate per version)",
+        store.delta_computations(),
+        store.substrate_computations()
     );
 }
 
 /// Fan-out throughput: the same epoch stream feeding 1, 4, and 8
 /// concurrent windows of mixed horizon.
 fn bench_window_fanout(c: &mut Criterion) {
-    let (store, commits, seed_head) = commit_stream(16);
+    let world = curated_kb(120, 71);
+    let epochs = commit_stream(&world).1.len();
     let mut group = c.benchmark_group("windows");
     group.sample_size(10);
     for k in [1usize, 4, 8] {
@@ -95,14 +105,12 @@ fn bench_window_fanout(c: &mut Criterion) {
                 WindowDef::new(format!("w{i}"), spec)
             })
             .collect();
-        group.bench_function(format!("fanout_{k}w_{}epochs", commits.len()), |b| {
-            b.iter(|| {
-                let manager = manager_at_seed(&store, seed_head, defs.clone());
-                for commit in &commits {
-                    manager.advance(&store, commit);
-                }
-                black_box(manager.stats().publishes)
-            })
+        group.bench_function(format!("fanout_{k}w_{epochs}epochs"), |b| {
+            b.iter_batched(
+                || commit_stream(&world),
+                |(store, commits)| black_box(replay(&store, &commits, defs.clone())),
+                BatchSize::PerIteration,
+            )
         });
     }
     group.finish();

@@ -346,6 +346,14 @@ impl ReportCache {
         }
     }
 
+    /// `true` when the report of `measure` over the step identified by
+    /// `fingerprint` is cached. Counts neither a hit nor a miss: this
+    /// is the warm pass asking what is left to compute, not a request.
+    pub fn contains(&self, measure: &MeasureId, fingerprint: ContextFingerprint) -> bool {
+        let key = (measure.clone(), fingerprint);
+        self.shard_of(&key).read().map.contains_key(&key)
+    }
+
     /// Register an independent consumer — a serving window, a pipeline
     /// — whose epoch swaps must be scoped to its own lineage. Returns
     /// the id used with [`claim_lineage`](ReportCache::claim_lineage)
@@ -833,6 +841,20 @@ mod tests {
         let second = cache.insert(fp, report);
         assert!(Arc::ptr_eq(&first, &second));
         assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn contains_probes_without_counting() {
+        let (_vs, ctx) = world();
+        let registry = MeasureRegistry::standard();
+        let cache = ReportCache::new();
+        let fp = ctx.fingerprint();
+        let measure = &registry.all()[0];
+        assert!(!cache.contains(&measure.id(), fp));
+        cache.insert(fp, measure.compute(&ctx));
+        assert!(cache.contains(&measure.id(), fp));
+        assert!(!cache.contains(&registry.all()[1].id(), fp));
+        assert_eq!(cache.stats().lookups(), 0, "neither a hit nor a miss");
     }
 
     #[test]

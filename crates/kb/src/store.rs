@@ -1,8 +1,10 @@
 //! Indexed triple store.
 
+use crate::fxhash::FxHasher;
 use crate::term::TermId;
 use crate::triple::{Triple, TriplePattern};
 use std::collections::BTreeSet;
+use std::hash::Hasher;
 use std::ops::Bound;
 
 type Key = (TermId, TermId, TermId);
@@ -190,6 +192,21 @@ impl TripleStore {
     /// Distinct objects, in ascending id order.
     pub fn distinct_objects(&self) -> Vec<TermId> {
         distinct_firsts(&self.osp)
+    }
+
+    /// Order-independent content digest: the XOR of every triple's
+    /// FxHash salted by `salt`, so the stores' iteration order cannot
+    /// leak into it and different salts keep the digests of different
+    /// roles (e.g. the two ends of an evolution step) apart.
+    pub fn content_digest(&self, salt: u64) -> u64 {
+        self.spo.iter().fold(0u64, |acc, &(s, p, o)| {
+            let mut h = FxHasher::default();
+            h.write_u64(salt);
+            h.write_u32(s.as_u32());
+            h.write_u32(p.as_u32());
+            h.write_u32(o.as_u32());
+            acc ^ h.finish()
+        })
     }
 
     /// Triples present in `self` but not in `other` (a set difference in

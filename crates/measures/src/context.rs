@@ -1,10 +1,12 @@
 //! Shared evaluation context for one evolution step.
 
-use evorec_graph::{betweenness, bridging_centrality_with, SchemaGraph};
+use evorec_graph::SchemaGraph;
 use evorec_kb::{FxHasher, SchemaView, TermId};
-use evorec_versioning::{ChangeSet, LowLevelDelta, VersionId, VersionedStore};
+use evorec_versioning::{
+    ChangeSet, LowLevelDelta, StepEnd, VersionId, VersionSubstrate, VersionedStore,
+};
 use std::hash::Hasher;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// A stable identity for one evolution step: the version pair plus a
 /// digest of the delta and the union class graph.
@@ -36,11 +38,14 @@ impl std::fmt::Display for ContextFingerprint {
 /// Everything a measure needs about one evolution step V_from → V_to,
 /// built once and shared.
 ///
-/// Measures are pure functions of this context; the expensive artefacts
-/// (delta, schema views, class graphs, centrality vectors) are either
-/// built eagerly once or memoised lazily behind [`OnceLock`]s, so
-/// evaluating the full measure registry costs each substrate exactly
-/// once.
+/// Measures are pure functions of this context. What belongs to the
+/// step — delta, high-level changes, union class graph, fingerprint —
+/// is built here; what belongs to one version — schema view, class
+/// graph, betweenness, bridging centrality, snapshot digest — is held
+/// as `Arc`s into the store's per-version caches
+/// ([`VersionedStore::schema_view`], [`VersionedStore::substrate`]), so
+/// every context over a version shares one copy, and a centrality is
+/// computed at most once per version however many steps read it.
 pub struct EvolutionContext {
     /// The earlier version.
     pub from: VersionId,
@@ -62,10 +67,8 @@ pub struct EvolutionContext {
     /// adjacencies — the N_{V1,V2} universe of the paper's §II(b).
     pub graph_union: Arc<SchemaGraph>,
     fingerprint: ContextFingerprint,
-    betweenness_before: OnceLock<Arc<Vec<f64>>>,
-    betweenness_after: OnceLock<Arc<Vec<f64>>>,
-    bridging_before: OnceLock<Arc<Vec<f64>>>,
-    bridging_after: OnceLock<Arc<Vec<f64>>>,
+    substrate_before: Arc<VersionSubstrate>,
+    substrate_after: Arc<VersionSubstrate>,
 }
 
 impl EvolutionContext {
@@ -78,18 +81,13 @@ impl EvolutionContext {
         let before = store.schema_view(from);
         let after = store.schema_view(to);
         let changes = Arc::new(ChangeSet::detect(&delta, &before, &after, store.vocab()));
-        let graph_before = Arc::new(SchemaGraph::from_schema_view(&before));
-        let graph_after = Arc::new(SchemaGraph::from_schema_view(&after));
+        let substrate_before = store.substrate(from);
+        let substrate_after = store.substrate(to);
         let graph_union = Arc::new(union_graph(&before, &after));
         let fingerprint = ContextFingerprint {
             from,
             to,
-            digest: digest_step(
-                store.snapshot(from),
-                store.snapshot(to),
-                &delta,
-                &graph_union,
-            ),
+            digest: digest_step(store, from, to, &delta, &graph_union),
         };
         EvolutionContext {
             from,
@@ -98,47 +96,35 @@ impl EvolutionContext {
             before,
             after,
             changes,
-            graph_before,
-            graph_after,
+            graph_before: Arc::clone(substrate_before.graph()),
+            graph_after: Arc::clone(substrate_after.graph()),
             graph_union,
             fingerprint,
-            betweenness_before: OnceLock::new(),
-            betweenness_after: OnceLock::new(),
-            bridging_before: OnceLock::new(),
-            bridging_after: OnceLock::new(),
+            substrate_before,
+            substrate_after,
         }
     }
 
-    /// Betweenness of the earlier class graph (memoised).
+    /// Betweenness of the earlier class graph (memoised per version).
     pub fn betweenness_before(&self) -> &Arc<Vec<f64>> {
-        self.betweenness_before
-            .get_or_init(|| Arc::new(betweenness(&self.graph_before)))
+        self.substrate_before.betweenness()
     }
 
-    /// Betweenness of the later class graph (memoised).
+    /// Betweenness of the later class graph (memoised per version).
     pub fn betweenness_after(&self) -> &Arc<Vec<f64>> {
-        self.betweenness_after
-            .get_or_init(|| Arc::new(betweenness(&self.graph_after)))
+        self.substrate_after.betweenness()
     }
 
-    /// Bridging centrality of the earlier class graph (memoised).
+    /// Bridging centrality of the earlier class graph (memoised per
+    /// version).
     pub fn bridging_before(&self) -> &Arc<Vec<f64>> {
-        self.bridging_before.get_or_init(|| {
-            Arc::new(bridging_centrality_with(
-                &self.graph_before,
-                self.betweenness_before(),
-            ))
-        })
+        self.substrate_before.bridging()
     }
 
-    /// Bridging centrality of the later class graph (memoised).
+    /// Bridging centrality of the later class graph (memoised per
+    /// version).
     pub fn bridging_after(&self) -> &Arc<Vec<f64>> {
-        self.bridging_after.get_or_init(|| {
-            Arc::new(bridging_centrality_with(
-                &self.graph_after,
-                self.betweenness_after(),
-            ))
-        })
+        self.substrate_after.bridging()
     }
 
     /// Stable identity of this evolution step (version pair + content
@@ -178,39 +164,34 @@ impl EvolutionContext {
 
 /// Content digest of one evolution step. Triple sets (both full
 /// version snapshots and the delta's added/removed sides) are
-/// order-independently XOR-folded, so the stores' internal iteration
-/// order cannot leak into the fingerprint; the union graph's nodes and
-/// adjacency are folded in index order (deterministic: nodes are
-/// sorted by term id, adjacency lists are sorted). Hashing the whole
-/// snapshots matters: measures read instance extents and property
-/// structure from the schema views, and triples shared by both
-/// versions appear in neither the delta nor the union class graph.
+/// order-independently XOR-folded ([`TripleStore::content_digest`]),
+/// so the stores' internal iteration order cannot leak into the
+/// fingerprint; the union graph's nodes and adjacency are folded in
+/// index order (deterministic: nodes are sorted by term id, adjacency
+/// lists are sorted). Hashing the whole snapshots matters: measures
+/// read instance extents and property structure from the schema views,
+/// and triples shared by both versions appear in neither the delta nor
+/// the union class graph. The snapshot folds belong to the versions,
+/// so the store memoises them per version and end
+/// ([`VersionedStore::snapshot_digest`]).
+///
+/// [`TripleStore::content_digest`]: evorec_kb::TripleStore::content_digest
 fn digest_step(
-    before: &evorec_kb::TripleStore,
-    after: &evorec_kb::TripleStore,
+    store: &VersionedStore,
+    from: VersionId,
+    to: VersionId,
     delta: &LowLevelDelta,
     union: &SchemaGraph,
 ) -> u64 {
-    fn triple_hash(triple: &evorec_kb::Triple, salt: u64) -> u64 {
-        let mut h = FxHasher::default();
-        h.write_u64(salt);
-        h.write_u32(triple.s.as_u32());
-        h.write_u32(triple.p.as_u32());
-        h.write_u32(triple.o.as_u32());
-        h.finish()
-    }
-    fn fold_triples<'a>(triples: impl Iterator<Item = evorec_kb::Triple> + 'a, salt: u64) -> u64 {
-        triples.fold(0u64, |acc, t| acc ^ triple_hash(&t, salt))
-    }
     let mut h = FxHasher::default();
-    h.write_usize(before.len());
-    h.write_usize(after.len());
-    h.write_u64(fold_triples(before.iter(), 0xBEF));
-    h.write_u64(fold_triples(after.iter(), 0xAF7));
+    h.write_usize(store.snapshot(from).len());
+    h.write_usize(store.snapshot(to).len());
+    h.write_u64(store.snapshot_digest(from, StepEnd::From));
+    h.write_u64(store.snapshot_digest(to, StepEnd::To));
     h.write_usize(delta.added_count());
     h.write_usize(delta.removed_count());
-    h.write_u64(fold_triples(delta.added.iter(), 0xADD));
-    h.write_u64(fold_triples(delta.removed.iter(), 0xDE1));
+    h.write_u64(delta.added.content_digest(0xADD));
+    h.write_u64(delta.removed.content_digest(0xDE1));
     h.write_usize(union.node_count());
     h.write_usize(union.edge_count());
     for u in union.node_indexes() {
@@ -318,6 +299,19 @@ mod tests {
         let br2 = Arc::clone(ctx.bridging_before());
         assert!(Arc::ptr_eq(&br1, &br2));
         assert_eq!(b1.len(), ctx.graph_after.node_count());
+    }
+
+    #[test]
+    fn contexts_over_one_version_share_its_substrate() {
+        let (vs, v0, v1, _) = store();
+        let step = EvolutionContext::build(&vs, v0, v1);
+        let idle = EvolutionContext::build(&vs, v1, v1);
+        let back = EvolutionContext::build(&vs, v1, v0);
+        assert!(Arc::ptr_eq(&step.graph_after, &idle.graph_before));
+        assert!(Arc::ptr_eq(step.betweenness_after(), idle.betweenness_before()));
+        assert!(Arc::ptr_eq(step.bridging_after(), back.bridging_before()));
+        assert!(Arc::ptr_eq(step.bridging_before(), back.bridging_after()));
+        assert_eq!(vs.substrate_computations(), 2, "one substrate per version");
     }
 
     #[test]

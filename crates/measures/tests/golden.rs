@@ -1,0 +1,123 @@
+//! Golden values for step fingerprints and structural-shift scores.
+//!
+//! The bit-identity tests elsewhere compare two builds made by the same
+//! code, so a change to the step digest or to the centralities would
+//! move both sides together and go unseen. This test pins the exact
+//! `ContextFingerprint::digest` of several spans (forward, idle,
+//! reversed) and the `f64::to_bits` of the betweenness- and
+//! bridging-shift scores over one hand-built three-version history.
+
+use evorec_kb::{Triple, TripleStore};
+use evorec_measures::{BetweennessShift, BridgingShift, EvolutionContext, EvolutionMeasure};
+use evorec_versioning::{VersionId, VersionedStore};
+
+/// Three versions over eight classes: V0 is a two-branch hierarchy with
+/// a cross-branch property and a few typed instances; V1 grafts a new
+/// leaf, drops one subclass edge and one instance; V2 restores the
+/// dropped edge, adds a second property and retypes an instance.
+fn history() -> (VersionedStore, [VersionId; 3]) {
+    let mut vs = VersionedStore::new();
+    let v = *vs.vocab();
+    let c: Vec<_> = (0..8).map(|i| vs.intern_iri(format!("http://g/C{i}"))).collect();
+    let p: Vec<_> = (0..2).map(|i| vs.intern_iri(format!("http://g/p{i}"))).collect();
+    let inst: Vec<_> = (0..5).map(|i| vs.intern_iri(format!("http://g/i{i}"))).collect();
+    let sub = |a: usize, b: usize| Triple::new(c[a], v.rdfs_subclassof, c[b]);
+    let typed = |i: usize, k: usize| Triple::new(inst[i], v.rdf_type, c[k]);
+
+    let mut s0 = TripleStore::from_triples([
+        sub(1, 0),
+        sub(2, 0),
+        sub(3, 1),
+        sub(4, 1),
+        sub(5, 2),
+        sub(6, 2),
+        Triple::new(p[0], v.rdfs_domain, c[3]),
+        Triple::new(p[0], v.rdfs_range, c[6]),
+        typed(0, 3),
+        typed(1, 4),
+        typed(2, 6),
+        Triple::new(inst[0], p[0], inst[2]),
+    ]);
+    let v0 = vs.commit_snapshot("v0", s0.clone());
+
+    s0.insert(sub(7, 5));
+    s0.remove(&sub(4, 1));
+    s0.remove(&typed(1, 4));
+    s0.insert(typed(3, 7));
+    let v1 = vs.commit_snapshot("v1", s0.clone());
+
+    s0.insert(sub(4, 1));
+    s0.insert(Triple::new(p[1], v.rdfs_domain, c[4]));
+    s0.insert(Triple::new(p[1], v.rdfs_range, c[7]));
+    s0.remove(&typed(2, 6));
+    s0.insert(typed(2, 5));
+    s0.insert(typed(4, 4));
+    let v2 = vs.commit_snapshot("v2", s0);
+    (vs, [v0, v1, v2])
+}
+
+fn score_bits(measure: &dyn EvolutionMeasure, ctx: &EvolutionContext) -> Vec<(u32, u64)> {
+    measure
+        .compute(ctx)
+        .scores()
+        .iter()
+        .map(|&(term, score)| (term.as_u32(), score.to_bits()))
+        .collect()
+}
+
+#[test]
+fn step_digests_are_pinned() {
+    let (vs, [v0, v1, v2]) = history();
+    let digest = |from, to| EvolutionContext::build(&vs, from, to).fingerprint().digest;
+    let got = [
+        digest(v0, v1),
+        digest(v1, v2),
+        digest(v0, v2),
+        digest(v2, v2),
+        digest(v2, v0),
+    ];
+    assert_eq!(
+        got,
+        [
+            0x4259_6dd9_9dce_212f, // V0 → V1
+            0xfeb1_4114_59e1_d138, // V1 → V2
+            0x86c8_e921_8416_99aa, // V0 → V2
+            0x4a41_29fc_fa84_0bad, // V2 → V2, idle
+            0x9d89_6531_ac94_143c, // V2 → V0, reversed
+        ]
+    );
+}
+
+#[test]
+fn structural_shift_scores_are_pinned() {
+    let (vs, [v0, _, v2]) = history();
+    let ctx = EvolutionContext::build(&vs, v0, v2);
+    let betweenness = score_bits(&BetweennessShift, &ctx);
+    let bridging = score_bits(&BridgingShift, &ctx);
+    assert_eq!(
+        betweenness,
+        [
+            (0x11, 0x4012_0000_0000_0000),
+            (0x0c, 0x4004_0000_0000_0000),
+            (0x0e, 0x4004_0000_0000_0000),
+            (0x0f, 0x4000_0000_0000_0000),
+            (0x10, 0x3ff8_0000_0000_0000),
+            (0x12, 0x3ff8_0000_0000_0000),
+            (0x13, 0x3ff8_0000_0000_0000),
+            (0x0d, 0x3ff0_0000_0000_0000),
+        ]
+    );
+    assert_eq!(
+        bridging,
+        [
+            (0x0c, 0x3ffe_0000_0000_0000),
+            (0x11, 0x3ff4_9249_2492_4925),
+            (0x10, 0x3fec_cccc_cccc_ccce),
+            (0x13, 0x3fec_cccc_cccc_ccce),
+            (0x12, 0x3fea_6666_6666_6668),
+            (0x0d, 0x3fd0_0000_0000_0000),
+            (0x0e, 0x3fc0_0000_0000_0000),
+            (0x0f, 0x3fad_41d4_1d41_d420),
+        ]
+    );
+}

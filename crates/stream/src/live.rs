@@ -206,11 +206,12 @@ impl Drop for LiveContext {
     }
 }
 
-/// Compute (or incrementally advance) every report for `next` into the
-/// cache, then drop the superseded fingerprint's entries — globally, or
-/// scoped to `lineage` when one is attached (the superseded entries
-/// survive while any other lineage of the shared cache still claims
-/// them).
+/// Compute (or incrementally advance) every report for `next` that the
+/// cache does not already hold — another lineage publishing the same
+/// step may have warmed it — then drop the superseded fingerprint's
+/// entries: globally, or scoped to `lineage` when one is attached (the
+/// superseded entries survive while any other lineage of the shared
+/// cache still claims them).
 fn warm_and_invalidate(
     serving: &ServingHandles,
     previous: &EvolutionContext,
@@ -228,15 +229,19 @@ fn warm_and_invalidate(
     // share the new one's origin; a publish that moves the origin
     // (e.g. a rolling window) must recompute from scratch.
     let extension = extension.filter(|_| previous.from == next.from);
-    // Grab the previous epoch's reports *before* invalidating them —
-    // they are the inputs of the incremental hooks.
-    let previous_reports: Vec<Option<Arc<MeasureReport>>> = serving
+    let cold: Vec<_> = serving
         .registry
         .all()
         .iter()
+        .filter(|m| !serving.cache.contains(&m.id(), new_fingerprint))
+        .collect();
+    // Grab the previous epoch's reports *before* invalidating them —
+    // they are the inputs of the incremental hooks.
+    let previous_reports: Vec<Option<Arc<MeasureReport>>> = cold
+        .iter()
         .map(|m| serving.cache.get(&m.id(), old_fingerprint))
         .collect();
-    for (measure, prev) in serving.registry.all().iter().zip(previous_reports) {
+    for (measure, prev) in cold.into_iter().zip(previous_reports) {
         let report = prev
             .as_deref()
             .zip(extension)
@@ -442,6 +447,44 @@ mod tests {
         let stats = cache.stats();
         assert_eq!(stats.lineages.len(), 2);
         assert!(stats.lineages[1].invalidations >= registry.len() as u64);
+    }
+
+    #[test]
+    fn publishing_a_step_another_lineage_warmed_computes_nothing() {
+        // A landmark window publishes the same step as the pipeline
+        // beside it: the second warm pass finds every report already
+        // cached under the new fingerprint and neither probes the
+        // superseded step nor recomputes.
+        let vs = store();
+        let registry = Arc::new(MeasureRegistry::standard());
+        let cache = Arc::new(ReportCache::new());
+        let first = Arc::new(EvolutionContext::build(&vs, v(0), v(1)));
+        let live = |label: &str| {
+            LiveContext::with_serving(
+                Arc::clone(&first),
+                Arc::clone(&registry),
+                Arc::clone(&cache),
+            )
+            .with_lineage(cache.register_lineage(label))
+        };
+        let (pipeline, window) = (live("pipeline"), live("window"));
+        let _ = cache.reports_for(&registry, &first);
+        let next = Arc::new(EvolutionContext::build(&vs, v(0), v(2)));
+        pipeline.publish(Arc::clone(&next), Some(vs.delta(v(1), v(2))));
+        let warmed: Vec<_> = registry
+            .all()
+            .iter()
+            .map(|m| cache.get(&m.id(), next.fingerprint()).expect("warm"))
+            .collect();
+        cache.reset_stats();
+        window.publish(Arc::clone(&next), Some(vs.delta(v(1), v(2))));
+        assert_eq!(cache.stats().lookups(), 0, "no probe of the superseded step");
+        for (report, measure) in warmed.iter().zip(registry.all()) {
+            let served = cache.get(&measure.id(), next.fingerprint()).expect("still warm");
+            assert!(Arc::ptr_eq(report, &served), "{}", report.measure);
+        }
+        // Both lineages moved on, so the superseded step is gone.
+        assert_eq!(cache.len(), registry.len());
     }
 
     #[test]

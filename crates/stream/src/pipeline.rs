@@ -31,7 +31,7 @@ use std::thread::JoinHandle;
 /// [`EpochCommit`] (including its normalised delta), so it can maintain
 /// any number of derived live views — e.g. the window manager of
 /// `evorec-windows`, which advances one context per temporal window by
-/// composing per-epoch deltas.
+/// extending and stripping its span delta epoch by epoch.
 ///
 /// Sinks run **on the ingest worker thread**: a slow sink delays the
 /// next micro-batch (that is backpressure, not a bug — readers of every
@@ -213,12 +213,13 @@ fn ingest_loop(
     sinks: &[Arc<dyn EpochSink>],
     tracer: Option<&Tracer>,
 ) -> Ingestor {
-    // The landmark composition `origin → head`, advanced by each
-    // commit's epoch delta so rebuilding the published context never
-    // re-diffs the origin and head snapshots (the same delta algebra
-    // serving windows ride). The spawn-time context build memoised the
-    // initial span's delta, so this clone hits the store's cache.
-    let mut composed = (*ingestor.store().delta(origin, head)).clone();
+    // The landmark span delta `origin → head`, extended in place by
+    // each commit's epoch delta so rebuilding the published context
+    // never re-diffs the origin and head snapshots (the same span
+    // algebra serving windows ride). The spawn-time context build
+    // already fetched the initial span's delta: empty for the default
+    // idle origin, memoised otherwise.
+    let mut landmark = ingestor.store().delta(origin, head);
     loop {
         let batch = log.pop_batch(max_batch);
         let drained = batch.is_empty();
@@ -228,7 +229,7 @@ fn ingest_loop(
             ingest.finish();
         }
         if drained || ingestor.pending_events() >= max_batch || log.is_empty() {
-            commit_and_publish(&mut ingestor, live, origin, &mut composed, sinks, tracer);
+            commit_and_publish(&mut ingestor, live, origin, &mut landmark, sinks, tracer);
         }
         if drained {
             return ingestor;
@@ -240,17 +241,18 @@ fn commit_and_publish(
     ingestor: &mut Ingestor,
     live: &LiveContext,
     origin: VersionId,
-    composed: &mut LowLevelDelta,
+    landmark: &mut Arc<LowLevelDelta>,
     sinks: &[Arc<dyn EpochSink>],
     tracer: Option<&Tracer>,
 ) {
     if let Some(commit) = ingestor.commit_epoch() {
         let commit_span = span(tracer, "epoch_commit", SpanHandle::NONE);
         let commit_handle = commit_span.handle();
-        *composed = composed.compose(&commit.delta);
+        // The published span shares the store's cached copy, so this
+        // in-place extension copies it once first.
+        Arc::make_mut(landmark).extend_by(&commit.delta);
         let store = ingestor.store();
-        let landmark = Arc::new(composed.normalise_against(store.snapshot(origin)));
-        store.seed_delta(origin, commit.version, landmark);
+        store.seed_delta(origin, commit.version, Arc::clone(landmark));
         let ctx = Arc::new(EvolutionContext::build(store, origin, commit.version));
         let publish = span(tracer, "publish", commit_handle);
         live.publish(ctx, Some(Arc::clone(&commit.delta)));

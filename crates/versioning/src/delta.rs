@@ -104,48 +104,49 @@ impl LowLevelDelta {
         }
     }
 
-    /// A copy with every entry that is a no-op relative to `base`
-    /// dropped: additions already present in `base`, removals absent
-    /// from it.
+    /// Extend this span delta by the step that follows it, in place:
+    /// if `self` is `compute(S_a, S_b)` and `later` is
+    /// `compute(S_b, S_c)`, `self` becomes `compute(S_a, S_c)`.
     ///
-    /// [`compose`](LowLevelDelta::compose) keeps its two sides disjoint
-    /// but can carry base-relative no-ops — a triple removed by one
-    /// epoch and re-added by a later one survives composition as an
-    /// addition even though the span's endpoints both contain it. For a
-    /// chain of per-step deltas `base → … → head`, normalising the
-    /// composition against the `base` snapshot recovers *exactly*
-    /// [`LowLevelDelta::compute`]`(base, head)` — which is what lets a
-    /// sliding serving window advance by delta algebra yet fingerprint
-    /// identically to a batch-built context.
-    pub fn normalise_against(&self, base: &TripleStore) -> LowLevelDelta {
-        LowLevelDelta {
-            added: self.added.iter().filter(|t| !base.contains(t)).collect(),
-            removed: self.removed.iter().filter(|t| base.contains(t)).collect(),
-        }
+    /// Each triple of `later` either cancels its opposite entry here (a
+    /// triple removed over the span and re-added by `later`, or added
+    /// and then removed, is back to its state at `S_a`) or joins the
+    /// matching side. Both deltas must be exact diffs, as `compute` and
+    /// committed epoch deltas are; that makes membership in `self` the
+    /// only test needed, so the cost is O(|later|) set operations
+    /// however long the span. Serving windows and the pipeline's
+    /// landmark span advance this way on every epoch.
+    pub fn extend_by(&mut self, later: &LowLevelDelta) {
+        self.toggle(&later.added, &later.removed);
     }
 
-    /// Sequentially compose two deltas: `self` then `later`. The result
-    /// applied to a base equals applying both in order.
-    pub fn compose(&self, later: &LowLevelDelta) -> LowLevelDelta {
-        // added = (self.added \ later.removed) ∪ later.added
-        // removed = (self.removed \ later.added) ∪ later.removed
-        // then normalised so the two sets are disjoint.
-        let mut added: TripleStore = self
-            .added
-            .difference(&later.removed)
-            .chain(later.added.iter())
-            .collect();
-        let mut removed: TripleStore = self
-            .removed
-            .difference(&later.added)
-            .chain(later.removed.iter())
-            .collect();
-        let dup: Vec<Triple> = added.iter().filter(|t| removed.contains(t)).collect();
-        for t in &dup {
-            added.remove(t);
-            removed.remove(t);
+    /// Strip the step at the front of this span delta, in place: if
+    /// `self` is `compute(S_a, S_c)` and `earliest` is
+    /// `compute(S_a, S_b)`, `self` becomes `compute(S_b, S_c)`. This is
+    /// a sliding window evicting its oldest epoch, in O(|earliest|).
+    ///
+    /// Stripping a leading step is extending the span backwards by the
+    /// step's inverse, so the same membership rule applies with the
+    /// step's sides swapped.
+    pub fn strip_front(&mut self, earliest: &LowLevelDelta) {
+        self.toggle(&earliest.removed, &earliest.added);
+    }
+
+    /// Fold one exact step into the span: each triple the step adds
+    /// cancels a span removal or becomes a span addition, and each
+    /// triple it removes cancels a span addition or becomes a span
+    /// removal.
+    fn toggle(&mut self, added: &TripleStore, removed: &TripleStore) {
+        for t in added.iter() {
+            if !self.removed.remove(&t) {
+                self.added.insert(t);
+            }
         }
-        LowLevelDelta { added, removed }
+        for t in removed.iter() {
+            if !self.added.remove(&t) {
+                self.removed.insert(t);
+            }
+        }
     }
 }
 
@@ -227,69 +228,67 @@ mod tests {
     }
 
     #[test]
-    fn compose_matches_sequential_application() {
+    fn extend_by_matches_sequential_application() {
         let (v1, v2) = snapshots();
         let v3 = TripleStore::from_triples([tr(1, 10, 2), tr(6, 12, 7), tr(8, 13, 9)]);
-        let d12 = LowLevelDelta::compute(&v1, &v2);
-        let d23 = LowLevelDelta::compute(&v2, &v3);
-        let composed = d12.compose(&d23);
-        assert_eq!(composed.apply(&v1), v3);
-        // Composition normalises: added/removed are disjoint.
-        for triple in composed.added.iter() {
-            assert!(!composed.removed.contains(&triple));
+        let mut span = LowLevelDelta::compute(&v1, &v2);
+        span.extend_by(&LowLevelDelta::compute(&v2, &v3));
+        assert_eq!(span.apply(&v1), v3);
+        // The extended span stays exact: added/removed are disjoint.
+        for triple in span.added.iter() {
+            assert!(!span.removed.contains(&triple));
         }
+        assert_eq!(span, LowLevelDelta::compute(&v1, &v3));
     }
 
     #[test]
-    fn compose_add_then_remove_nets_to_removal() {
-        // (add t, then remove t) must behave like "ensure t absent": a
-        // no-op on bases without t, a removal on bases with it.
-        let add = LowLevelDelta::from_parts([tr(1, 2, 3)], []);
-        let remove = LowLevelDelta::from_parts([], [tr(1, 2, 3)]);
-        let net = add.compose(&remove);
-        assert!(net.added.is_empty());
-        assert!(net.removed.contains(&tr(1, 2, 3)));
-        let empty = TripleStore::new();
-        assert_eq!(net.apply(&empty), empty);
-        let with_t = TripleStore::from_triples([tr(1, 2, 3)]);
-        assert!(net.apply(&with_t).is_empty());
+    fn extend_by_add_then_remove_nets_to_nothing() {
+        // A triple absent at both ends of the span — added by one step,
+        // removed by the next — leaves no trace in either direction.
+        let s0 = TripleStore::from_triples([tr(4, 5, 6)]);
+        let s1 = TripleStore::from_triples([tr(1, 2, 3), tr(4, 5, 6)]);
+        let mut span = LowLevelDelta::compute(&s0, &s1);
+        span.extend_by(&LowLevelDelta::compute(&s1, &s0));
+        assert!(span.is_empty());
+        assert_eq!(span.apply(&s0), s0);
     }
 
     #[test]
-    fn normalised_composition_equals_direct_compute() {
-        // S0 → S1 removes (1,2,3); S1 → S2 re-adds it. The raw
-        // composition carries the re-add as an addition; normalising
-        // against S0 recovers the direct diff exactly.
+    fn extend_by_equals_direct_compute() {
+        // S0 → S1 removes (1,2,3); S1 → S2 re-adds it. The span's
+        // endpoints both contain it, so the extended span must not
+        // carry it at all.
         let s0 = TripleStore::from_triples([tr(1, 2, 3), tr(4, 5, 6)]);
         let s1 = TripleStore::from_triples([tr(4, 5, 6)]);
         let s2 = TripleStore::from_triples([tr(1, 2, 3), tr(7, 8, 9)]);
-        let d01 = LowLevelDelta::compute(&s0, &s1);
-        let d12 = LowLevelDelta::compute(&s1, &s2);
-        let composed = d01.compose(&d12);
-        assert!(
-            composed.added.contains(&tr(1, 2, 3)),
-            "raw composition carries the base-relative no-op"
-        );
-        let normalised = composed.normalise_against(&s0);
-        assert_eq!(normalised, LowLevelDelta::compute(&s0, &s2));
-        // Normalising a directly computed delta is the identity.
+        let mut span = LowLevelDelta::compute(&s0, &s1);
+        span.extend_by(&LowLevelDelta::compute(&s1, &s2));
+        assert!(!span.added.contains(&tr(1, 2, 3)));
+        assert_eq!(span, LowLevelDelta::compute(&s0, &s2));
+        // Extending by the idle step is the identity.
         let direct = LowLevelDelta::compute(&s0, &s2);
-        assert_eq!(direct.normalise_against(&s0), direct);
+        let mut idle = direct.clone();
+        idle.extend_by(&LowLevelDelta::new());
+        assert_eq!(idle, direct);
     }
 
     #[test]
-    fn inverted_prefix_strips_cleanly_for_sliding_windows() {
-        // The sliding-window advance: given d02 = d01 ∘ d12, stripping
-        // the evicted epoch as d01⁻¹ ∘ d02 and normalising against S1
-        // yields exactly compute(S1, S2).
+    fn strip_front_strips_cleanly_for_sliding_windows() {
+        // The sliding-window advance: stripping the evicted epoch d01
+        // off d02 yields exactly compute(S1, S2).
         let s0 = TripleStore::from_triples([tr(1, 2, 3), tr(4, 5, 6)]);
         let s1 = TripleStore::from_triples([tr(4, 5, 6), tr(7, 8, 9)]);
         let s2 = TripleStore::from_triples([tr(1, 2, 3), tr(7, 8, 9)]);
         let d01 = LowLevelDelta::compute(&s0, &s1);
-        let d12 = LowLevelDelta::compute(&s1, &s2);
-        let d02 = d01.compose(&d12);
-        let stripped = d01.invert().compose(&d02).normalise_against(&s1);
-        assert_eq!(stripped, LowLevelDelta::compute(&s1, &s2));
+        let mut span = d01.clone();
+        span.extend_by(&LowLevelDelta::compute(&s1, &s2));
+        assert_eq!(span, LowLevelDelta::compute(&s0, &s2));
+        span.strip_front(&d01);
+        assert_eq!(span, LowLevelDelta::compute(&s1, &s2));
+        // Stripping the only step leaves the idle span.
+        let mut single = d01.clone();
+        single.strip_front(&d01);
+        assert!(single.is_empty());
     }
 
     #[test]

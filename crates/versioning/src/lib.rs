@@ -4,9 +4,14 @@
 //! (ICDE'17 reproduction). Provides:
 //!
 //! - [`VersionedStore`] — a linear snapshot history over one shared
-//!   interner, with memoised pairwise deltas and schema views;
-//! - [`LowLevelDelta`] — δ⁺/δ⁻ triple sets with apply/invert/compose and
-//!   the per-term restriction δ(n) of the paper's §II(a);
+//!   interner, with memoised pairwise deltas, schema views and
+//!   per-version graph substrates;
+//! - [`VersionSubstrate`] — one version's class graph, betweenness,
+//!   bridging centrality and snapshot digests, computed once and shared
+//!   by every evolution step over the version;
+//! - [`LowLevelDelta`] — δ⁺/δ⁻ triple sets with apply/invert, in-place
+//!   span extension and stripping, and the per-term restriction δ(n) of
+//!   the paper's §II(a);
 //! - [`ChangeSet`] / [`Change`] — high-level change detection after
 //!   Roussakis et al. (ISWC 2015), the paper's reference \[11\];
 //! - [`ProvenanceLedger`] — who/when/why capture for the transparency
@@ -14,8 +19,8 @@
 //! - [`Archive`] / [`ArchivePolicy`] — archiving policies after
 //!   Stefanidis et al. (ER 2014), the paper's reference \[13\];
 //! - [`EpochRing`] / [`EpochEntry`] — a bounded ring of per-epoch
-//!   deltas, the composition substrate serving windows advance over
-//!   instead of re-diffing snapshots;
+//!   deltas, which sliding serving windows strip their evicted epochs
+//!   from instead of re-diffing snapshots;
 //! - [`Timeline`] / [`Trend`] — per-term change series over whole
 //!   histories ("observe changes trends", §I);
 //! - [`codec`] — a compact delta wire format after Cloran & Irwin,
@@ -30,6 +35,7 @@ mod delta;
 mod provenance;
 mod ring;
 mod store;
+mod substrate;
 mod timeline;
 mod validate;
 mod version;
@@ -41,6 +47,7 @@ pub use delta::LowLevelDelta;
 pub use provenance::{Justification, ProvenanceLedger, ProvenanceRecord, RecordId};
 pub use ring::{EpochEntry, EpochRing};
 pub use store::VersionedStore;
+pub use substrate::{StepEnd, VersionSubstrate};
 pub use timeline::{classify_trend, Timeline, Trend};
 pub use validate::{validate_snapshot, ValidationIssue};
 pub use version::{VersionId, VersionInfo};

@@ -1,13 +1,13 @@
-//! A bounded ring of per-epoch deltas — the composition substrate for
-//! sliding serving windows.
+//! A bounded ring of per-epoch deltas — what sliding serving windows
+//! strip their evicted epochs from.
 //!
 //! The streaming layer commits one normalised [`LowLevelDelta`] per
 //! epoch. A serving window spanning several epochs never needs to
-//! re-diff snapshots: its delta is the *composition* of the per-epoch
-//! deltas it covers, advanced in O(|evicted ε| + |new ε|) by composing
-//! the newest epoch onto the tail and stripping the oldest epoch off
-//! the head ([`LowLevelDelta::invert`] then compose). The ring keeps
-//! the recent epochs those advances draw from, bounded so an unbounded
+//! re-diff snapshots: its span delta advances in place, in
+//! O(|evicted ε| + |new ε|), by extending it with the newest epoch
+//! ([`LowLevelDelta::extend_by`]) and stripping the oldest epoch off
+//! its front ([`LowLevelDelta::strip_front`]). The ring keeps the
+//! recent epochs those strips draw from, bounded so an unbounded
 //! stream cannot grow it without limit.
 
 use crate::delta::LowLevelDelta;
@@ -100,8 +100,9 @@ impl EpochRing {
     }
 
     /// The retained epoch that begins at `from`, if any. A sliding
-    /// window strips its evicted oldest epoch through this lookup
-    /// (`entry.delta.invert()` composed onto the window's delta).
+    /// window finds its evicted oldest epoch through this lookup and
+    /// strips it off its span delta with
+    /// [`LowLevelDelta::strip_front`].
     pub fn entry_starting_at(&self, from: VersionId) -> Option<&EpochEntry> {
         // Entries are consecutive: binary-search by start version.
         let ix = self

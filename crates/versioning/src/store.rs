@@ -1,7 +1,9 @@
 //! The versioned knowledge-base store.
 
 use crate::delta::LowLevelDelta;
+use crate::substrate::{StepEnd, VersionSubstrate};
 use crate::version::{VersionId, VersionInfo};
+use evorec_graph::SchemaGraph;
 use evorec_kb::{FxHashMap, SchemaView, Term, TermId, TermInterner, TripleStore, Vocab};
 use sched::sync::RwLock;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -11,10 +13,11 @@ use std::sync::Arc;
 ///
 /// All versions share a single [`TermInterner`], so [`TermId`]s are stable
 /// across the whole history — deltas, schema views, and measure reports
-/// from different version pairs are directly comparable. Pairwise deltas
-/// and per-version schema views are memoised behind [`RwLock`]s
-/// (`sched::sync`) so repeated measure evaluations of the same evolution
-/// step share the work.
+/// from different version pairs are directly comparable. Pairwise deltas,
+/// per-version schema views and per-version graph substrates are
+/// memoised behind [`RwLock`]s (`sched::sync`), so repeated measure
+/// evaluations of the same evolution step share the work, and every step
+/// over one version shares that version's class graph and centralities.
 pub struct VersionedStore {
     interner: TermInterner,
     vocab: Vocab,
@@ -23,7 +26,9 @@ pub struct VersionedStore {
     clock: u64,
     delta_cache: RwLock<FxHashMap<(VersionId, VersionId), Arc<LowLevelDelta>>>,
     schema_cache: RwLock<FxHashMap<VersionId, Arc<SchemaView>>>,
+    substrate_cache: RwLock<FxHashMap<VersionId, Arc<VersionSubstrate>>>,
     delta_computations: AtomicU64,
+    substrate_computations: AtomicU64,
 }
 
 impl Default for VersionedStore {
@@ -45,7 +50,9 @@ impl VersionedStore {
             clock: 0,
             delta_cache: RwLock::new(FxHashMap::default()),
             schema_cache: RwLock::new(FxHashMap::default()),
+            substrate_cache: RwLock::new(FxHashMap::default()),
             delta_computations: AtomicU64::new(0),
+            substrate_computations: AtomicU64::new(0),
         }
     }
 
@@ -155,10 +162,19 @@ impl VersionedStore {
     }
 
     /// The low-level delta for the evolution `from` → `to` (memoised).
+    /// The idle step `v → v` is the empty delta, returned without a
+    /// snapshot diff.
     ///
     /// # Panics
     /// Panics if either version is unknown.
     pub fn delta(&self, from: VersionId, to: VersionId) -> Arc<LowLevelDelta> {
+        if from == to {
+            assert!(
+                self.try_snapshot(from).is_some(),
+                "delta of unknown version {from}"
+            );
+            return Arc::new(LowLevelDelta::new());
+        }
         if let Some(hit) = self.delta_cache.read().get(&(from, to)) {
             return Arc::clone(hit);
         }
@@ -174,9 +190,9 @@ impl VersionedStore {
     }
 
     /// Seed the delta cache for `from → to` with a delta the caller has
-    /// derived some other way — e.g. a serving window's composition of
-    /// per-epoch deltas (normalised against the `from` snapshot, so it
-    /// equals what [`LowLevelDelta::compute`] would return). A later
+    /// derived some other way — e.g. a serving window's span delta,
+    /// extended and stripped epoch by epoch so it equals what
+    /// [`LowLevelDelta::compute`] would return. A later
     /// [`delta`](VersionedStore::delta) call for the pair then hits the
     /// cache instead of re-diffing two whole snapshots. An already
     /// cached pair is left untouched.
@@ -195,10 +211,48 @@ impl VersionedStore {
     /// O(|V1| + |V2|) path), as opposed to served from the cache or
     /// seeded by [`seed_delta`](VersionedStore::seed_delta). The
     /// multi-window serving tests and benches watch this counter to
-    /// prove that advancing windows composes epoch deltas instead of
+    /// prove that windows advance their span deltas in place instead of
     /// re-diffing.
     pub fn delta_computations(&self) -> u64 {
         self.delta_computations.load(Ordering::Relaxed)
+    }
+
+    /// The graph substrate of `version` — its class graph, centralities
+    /// and snapshot digests — built once and shared by every evolution
+    /// step over the version. Concurrent first requests for one version
+    /// build it once and receive the same handle.
+    ///
+    /// # Panics
+    /// Panics if `version` is unknown.
+    pub fn substrate(&self, version: VersionId) -> Arc<VersionSubstrate> {
+        if let Some(hit) = self.substrate_cache.read().get(&version) {
+            return Arc::clone(hit);
+        }
+        let view = self.schema_view(version);
+        let mut cache = self.substrate_cache.write();
+        let substrate = cache.entry(version).or_insert_with(|| {
+            self.substrate_computations.fetch_add(1, Ordering::Relaxed);
+            Arc::new(VersionSubstrate::new(SchemaGraph::from_schema_view(&view)))
+        });
+        Arc::clone(substrate)
+    }
+
+    /// How many version substrates have been built (class graphs
+    /// extracted) — one per distinct version any context has spanned.
+    /// An epoch stream served through any number of windows adds one
+    /// per epoch: the new head's.
+    pub fn substrate_computations(&self) -> u64 {
+        self.substrate_computations.load(Ordering::Relaxed)
+    }
+
+    /// The salted content digest of `version`'s snapshot as the `end`
+    /// of an evolution step, memoised in the version's
+    /// [`substrate`](VersionedStore::substrate).
+    ///
+    /// # Panics
+    /// Panics if `version` is unknown.
+    pub fn snapshot_digest(&self, version: VersionId, end: StepEnd) -> u64 {
+        self.substrate(version).digest(end, self.snapshot(version))
     }
 
     /// The schema view of `version` (memoised).
@@ -293,6 +347,43 @@ mod tests {
     }
 
     #[test]
+    fn idle_delta_is_empty_without_a_diff() {
+        let (mut vs, a, p, b) = fixture();
+        let v0 = vs.commit_snapshot("one", TripleStore::from_triples([Triple::new(a, p, b)]));
+        assert!(vs.delta(v0, v0).is_empty());
+        assert_eq!(vs.delta_computations(), 0, "v → v never diffs");
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown version")]
+    fn idle_delta_of_unknown_version_panics() {
+        let (vs, ..) = fixture();
+        vs.delta(VersionId::from_u32(0), VersionId::from_u32(0));
+    }
+
+    #[test]
+    fn substrate_is_memoised_per_version() {
+        let (mut vs, a, _p, b) = fixture();
+        let vocab = *vs.vocab();
+        let v0 = vs.commit_snapshot(
+            "schema",
+            TripleStore::from_triples([Triple::new(a, vocab.rdfs_subclassof, b)]),
+        );
+        let v1 = vs.commit_snapshot("empty", TripleStore::new());
+        let s1 = vs.substrate(v0);
+        let s2 = vs.substrate(v0);
+        assert!(Arc::ptr_eq(&s1, &s2));
+        assert_eq!(s1.graph().node_count(), 2);
+        assert_eq!(vs.substrate(v1).graph().node_count(), 0);
+        assert_eq!(vs.substrate_computations(), 2);
+        // The two ends salt their digests apart, and each is stable.
+        let from = vs.snapshot_digest(v0, StepEnd::From);
+        assert_ne!(from, vs.snapshot_digest(v0, StepEnd::To));
+        assert_eq!(from, vs.snapshot_digest(v0, StepEnd::From));
+        assert_eq!(vs.substrate_computations(), 2, "digests ride the substrate");
+    }
+
+    #[test]
     fn commit_delta_seeds_cache() {
         let (mut vs, a, p, b) = fixture();
         let v0 = vs.commit_snapshot("empty", TripleStore::new());
@@ -312,11 +403,13 @@ mod tests {
             TripleStore::from_triples([Triple::new(a, p, b), Triple::new(b, p, a)]),
         );
         assert_eq!(vs.delta_computations(), 0);
-        // Seed the long span from the composition of the short ones.
+        // Seed the long span by extending the first step by the second.
         let d01 = vs.delta(v0, v1);
         let d12 = vs.delta(v1, v2);
         assert_eq!(vs.delta_computations(), 2);
-        let composed = Arc::new(d01.compose(&d12).normalise_against(vs.snapshot(v0)));
+        let mut span = (*d01).clone();
+        span.extend_by(&d12);
+        let composed = Arc::new(span);
         vs.seed_delta(v0, v2, Arc::clone(&composed));
         let served = vs.delta(v0, v2);
         assert!(Arc::ptr_eq(&served, &composed), "seeded entry served");

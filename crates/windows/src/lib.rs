@@ -10,24 +10,28 @@
 //! | Piece | Role |
 //! |-------|------|
 //! | [`WindowSpec`] / [`WindowDef`] | the horizon vocabulary: last epoch, sliding band, landmark, since-timestamp |
-//! | [`WindowManager`] | subscribes to epoch commits ([`EpochSink`]), advances each window by composing per-epoch deltas, publishes one [`LiveContext`] per window |
+//! | [`WindowManager`] | subscribes to epoch commits ([`EpochSink`]), advances each window's span delta in place, publishes one [`LiveContext`] per window |
 //! | [`WindowedRecommender`] | per-window recommendations plus the cross-window [`TrendDiff`] |
 //!
-//! The load-bearing property: a sliding window advances in
-//! O(|evicted ε| + |new ε|) delta algebra
-//! ([`LowLevelDelta::compose`]/[`invert`] over an [`EpochRing`] of
-//! epoch deltas, normalised against the window's `from` snapshot) —
-//! never by re-diffing snapshots — yet every published context is
-//! bit-identical, fingerprint included, to a batch build over the same
-//! span. All windows share one [`ReportCache`] under per-window
-//! *lineages*, so one window's epoch swap never evicts reports or
-//! derived artefacts another window still serves.
+//! The load-bearing property: a sliding window advances its span delta
+//! in place in O(|evicted ε| + |new ε|) set work
+//! ([`LowLevelDelta::extend_by`] with the new epoch,
+//! [`LowLevelDelta::strip_front`] with the evicted one, drawn from an
+//! [`EpochRing`] of epoch deltas) — never by re-diffing snapshots — yet
+//! every published context is bit-identical, fingerprint included, to a
+//! batch build over the same span. Every window's context shares the
+//! store's per-version substrates ([`VersionedStore::substrate`]), so
+//! an epoch builds the new head's class graph and centralities once,
+//! whatever the window count. All windows share one [`ReportCache`]
+//! under per-window *lineages*, so one window's epoch swap never evicts
+//! reports or derived artefacts another window still serves.
 //!
 //! [`EpochSink`]: evorec_stream::EpochSink
 //! [`LiveContext`]: evorec_stream::LiveContext
 //! [`EpochRing`]: evorec_versioning::EpochRing
-//! [`LowLevelDelta::compose`]: evorec_versioning::LowLevelDelta::compose
-//! [`invert`]: evorec_versioning::LowLevelDelta::invert
+//! [`LowLevelDelta::extend_by`]: evorec_versioning::LowLevelDelta::extend_by
+//! [`LowLevelDelta::strip_front`]: evorec_versioning::LowLevelDelta::strip_front
+//! [`VersionedStore::substrate`]: evorec_versioning::VersionedStore::substrate
 //! [`ReportCache`]: evorec_core::ReportCache
 
 #![warn(missing_docs)]

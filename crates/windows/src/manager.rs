@@ -51,9 +51,12 @@ pub struct WindowManagerStats {
 struct WindowState {
     from: VersionId,
     to: VersionId,
-    /// Raw composition of the epoch deltas `from → to` (normalised
-    /// against the `from` snapshot only at publish time).
-    composed: LowLevelDelta,
+    /// The span delta `from → to`, always equal to
+    /// [`LowLevelDelta::compute`] over the two snapshots: each epoch
+    /// extends it in place and each eviction strips its front, in
+    /// O(|ε|). Shared with the store's delta cache once published, so
+    /// the next in-place edit copies it first ([`Arc::make_mut`]).
+    span: Arc<LowLevelDelta>,
     /// Epochs currently inside the window (sliding bookkeeping).
     epochs: usize,
 }
@@ -80,16 +83,20 @@ struct ManagerState {
 /// Subscribe it to a [`StreamPipeline`] via
 /// [`PipelineOptions::sinks`]: on every committed epoch the manager
 /// appends the epoch's delta to a bounded [`EpochRing`] and advances
-/// each window *by delta algebra* — a landmark window composes the new
-/// epoch onto its running delta, a sliding window additionally strips
-/// its evicted oldest epoch (`ε⁻¹ ∘ D`), in O(|evicted ε| + |new ε|)
-/// set work — then normalises the composition against the window's
-/// `from` snapshot, seeds the store's delta cache with it, and builds
-/// the window's [`EvolutionContext`] from the seeded delta. No window
+/// each window's span delta *in place* — a landmark window extends it
+/// by the new epoch ([`LowLevelDelta::extend_by`]), a sliding window
+/// additionally strips its evicted oldest epoch off the front
+/// ([`LowLevelDelta::strip_front`]), in O(|evicted ε| + |new ε|) set
+/// work — then seeds the store's delta cache with it and builds the
+/// window's [`EvolutionContext`] from the seeded delta. No window
 /// advance ever re-diffs two snapshots (watch
 /// [`VersionedStore::delta_computations`]), yet the published context
 /// is bit-identical — fingerprint included — to a batch build over the
-/// same span, so every fingerprint-keyed cache works unchanged.
+/// same span, so every fingerprint-keyed cache works unchanged. The
+/// contexts of all windows share the store's per-version substrates
+/// ([`VersionedStore::substrate`]), so an epoch builds one class graph
+/// and at most one set of centralities — the new head's — whatever the
+/// window count.
 ///
 /// Each window publishes through its own [`LiveContext`]; with a
 /// serving pair attached, all windows share one [`ReportCache`] under
@@ -191,11 +198,7 @@ impl WindowManager {
                 }
                 WindowSpec::Since(t) => WindowSpec::since_anchor(store, t, origin, head),
             };
-            let composed = if from == head {
-                LowLevelDelta::new()
-            } else {
-                (*store.delta(from, head)).clone()
-            };
+            let span = store.delta(from, head);
             let initial = Arc::new(EvolutionContext::build(store, from, head));
             let live = match &options.serving {
                 Some((registry, cache)) => {
@@ -209,7 +212,7 @@ impl WindowManager {
             states.push(WindowState {
                 from,
                 to: head,
-                composed,
+                span,
                 // One pre-attach version = one epoch, so sliding
                 // eviction starts from the correct occupancy.
                 epochs: (head.as_u32() - from.as_u32()) as usize,
@@ -338,12 +341,12 @@ impl WindowManager {
         for (window, state) in self.windows.iter().zip(windows.iter_mut()) {
             let origin_moved =
                 self.advance_window(window, state, ring, store, commit, epoch_from, timestamp);
-            self.publish_window(window, state, store, commit, epoch_from, origin_moved);
+            self.publish_window(window, state, store, commit, origin_moved);
         }
         advance_span.finish();
     }
 
-    /// Move one window's bounds and composed delta for the new epoch.
+    /// Move one window's bounds and span delta for the new epoch.
     /// Returns whether the window's `from` bound moved (which disables
     /// the incremental measure hooks for this publish).
     #[allow(clippy::too_many_arguments)] // internal epoch-step plumbing
@@ -361,23 +364,23 @@ impl WindowManager {
         state.to = commit.version;
         match window.def.spec {
             WindowSpec::Landmark => {
-                state.composed = state.composed.compose(&commit.delta);
+                Arc::make_mut(&mut state.span).extend_by(&commit.delta);
                 state.epochs += 1;
             }
             WindowSpec::LastEpoch => {
                 state.from = epoch_from;
-                state.composed = (*commit.delta).clone();
+                state.span = Arc::clone(&commit.delta);
                 state.epochs = 1;
             }
             WindowSpec::SlidingEpochs(k) => {
-                state.composed = state.composed.compose(&commit.delta);
+                Arc::make_mut(&mut state.span).extend_by(&commit.delta);
                 state.epochs += 1;
                 while state.epochs > k {
                     self.strip_oldest_epoch(state, ring, store);
                 }
             }
             WindowSpec::SlidingTime(dt) => {
-                state.composed = state.composed.compose(&commit.delta);
+                Arc::make_mut(&mut state.span).extend_by(&commit.delta);
                 state.epochs += 1;
                 // The wall-clock anchor slides with the head's
                 // timestamp: strip every epoch that fell off the back
@@ -397,10 +400,10 @@ impl WindowManager {
                     // The stream has not passed the anchor time yet:
                     // the window trails the head, empty.
                     state.from = commit.version;
-                    state.composed = LowLevelDelta::new();
+                    state.span = Arc::default();
                     state.epochs = 0;
                 } else {
-                    state.composed = state.composed.compose(&commit.delta);
+                    Arc::make_mut(&mut state.span).extend_by(&commit.delta);
                     state.epochs += 1;
                 }
             }
@@ -408,9 +411,8 @@ impl WindowManager {
         state.from != old_from
     }
 
-    /// Strip the window's oldest covered epoch off the head of its
-    /// composed delta (`ε⁻¹ ∘ D`) and advance its `from` bound by one
-    /// version.
+    /// Strip the window's oldest covered epoch off the front of its
+    /// span delta and advance its `from` bound by one version.
     fn strip_oldest_epoch(
         &self,
         state: &mut WindowState,
@@ -428,32 +430,25 @@ impl WindowManager {
                 store.delta(state.from, next)
             }
         };
-        state.composed = evicted.invert().compose(&state.composed);
+        Arc::make_mut(&mut state.span).strip_front(&evicted);
         state.from = VersionId::from_u32(state.from.as_u32() + 1);
         state.epochs = state.epochs.saturating_sub(1);
     }
 
-    /// Seed the store's delta cache with the window's composed delta
-    /// and publish a freshly built context through its live handle.
+    /// Seed the store's delta cache with the window's span delta and
+    /// publish a freshly built context through its live handle.
     fn publish_window(
         &self,
         window: &Window,
         state: &WindowState,
         store: &VersionedStore,
         commit: &EpochCommit,
-        epoch_from: VersionId,
         origin_moved: bool,
     ) {
-        let delta = if state.from == state.to {
-            Arc::new(LowLevelDelta::new())
-        } else if state.from == epoch_from && state.to == commit.version {
-            // The window is exactly the new epoch: reuse its delta
-            // (already normalised, already in the store's cache).
-            Arc::clone(&commit.delta)
-        } else {
-            Arc::new(state.composed.normalise_against(store.snapshot(state.from)))
-        };
-        store.seed_delta(state.from, state.to, delta);
+        // An idle span needs no seed: the store answers `v → v` empty.
+        if state.from != state.to {
+            store.seed_delta(state.from, state.to, Arc::clone(&state.span));
+        }
         let ctx = Arc::new(EvolutionContext::build(store, state.from, state.to));
         // Incremental hooks need an unmoved origin; LiveContext guards
         // this too, but not handing the extension over at all saves the
@@ -661,6 +656,36 @@ mod tests {
             "window advances must compose epoch deltas, not re-diff"
         );
         assert_eq!(manager.stats().ring_fallbacks, 0);
+    }
+
+    #[test]
+    fn every_epoch_builds_one_substrate_whatever_the_window_count() {
+        let (mut ingestor, typings) = seeded();
+        let origin = ingestor.head().unwrap();
+        let manager = WindowManager::new(
+            ingestor.store(),
+            origin,
+            vec![
+                WindowDef::new("last", WindowSpec::LastEpoch),
+                WindowDef::new("band", WindowSpec::SlidingEpochs(2)),
+                WindowDef::new("release", WindowSpec::Landmark),
+                WindowDef::new("recent", WindowSpec::Since(3)),
+                WindowDef::new("ticks", WindowSpec::SlidingTime(2)),
+            ],
+            WindowManagerOptions::default(),
+        );
+        assert_eq!(ingestor.store().substrate_computations(), 1, "the seed's");
+        for (epoch, &t) in typings.iter().enumerate() {
+            ingestor.ingest(ChangeEvent::assert(t, "curator"));
+            let commit = ingestor.commit_epoch().expect("non-empty epoch");
+            manager.advance(ingestor.store(), &commit);
+            assert_eq!(
+                ingestor.store().substrate_computations(),
+                epoch as u64 + 2,
+                "epoch {epoch}: five windows, one new substrate (the head's)"
+            );
+        }
+        assert_eq!(manager.stats().publishes, 5 * typings.len() as u64);
     }
 
     #[test]

@@ -80,7 +80,7 @@ fn main() {
     let mstats = manager.stats();
     println!(
         "pipeline committed {} epochs; window manager published {} contexts \
-         ({} snapshot diffs by the store — window advances compose deltas)",
+         ({} snapshot diffs by the store — window spans advance in place)",
         mstats.epochs,
         mstats.publishes,
         ingestor.store().delta_computations()

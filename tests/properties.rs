@@ -73,7 +73,8 @@ proptest! {
         }
     }
 
-    /// Composition behaves like sequential application.
+    /// Extending a span delta by the next step behaves like sequential
+    /// application.
     #[test]
     fn delta_composition_is_sequential_application(
         a in arb_triples(8, 30),
@@ -83,9 +84,45 @@ proptest! {
         let v1 = TripleStore::from_triples(a);
         let v2 = TripleStore::from_triples(b);
         let v3 = TripleStore::from_triples(c);
-        let d12 = LowLevelDelta::compute(&v1, &v2);
-        let d23 = LowLevelDelta::compute(&v2, &v3);
-        prop_assert_eq!(d12.compose(&d23).apply(&v1), v3);
+        let mut span = LowLevelDelta::compute(&v1, &v2);
+        span.extend_by(&LowLevelDelta::compute(&v2, &v3));
+        prop_assert_eq!(span.apply(&v1), v3);
+    }
+
+    /// The in-place span algebra equals a direct diff after every
+    /// operation: over a random chain of snapshots V0 → … → Vn, extend
+    /// the span by each step, then strip its k oldest steps. Every
+    /// step also flips one fixed triple, so the chain asserts, retracts
+    /// and re-asserts it, alongside random churn over a small universe
+    /// that revisits triples across steps too.
+    #[test]
+    fn span_extend_and_strip_equal_direct_compute(
+        base in arb_triples(4, 24),
+        steps in prop::collection::vec(arb_triples(4, 8), 3..10),
+        strip in 0usize..10,
+    ) {
+        let flicker = Triple::new(t(9), t(9), t(9));
+        let mut snapshots = vec![TripleStore::from_triples(base)];
+        for toggles in &steps {
+            let mut next = snapshots[snapshots.len() - 1].clone();
+            for tr in toggles.iter().chain([&flicker]) {
+                if !next.remove(tr) {
+                    next.insert(*tr);
+                }
+            }
+            snapshots.push(next);
+        }
+        let step = |i: usize| LowLevelDelta::compute(&snapshots[i], &snapshots[i + 1]);
+        let n = steps.len();
+        let mut span = LowLevelDelta::new();
+        for i in 0..n {
+            span.extend_by(&step(i));
+            prop_assert_eq!(&span, &LowLevelDelta::compute(&snapshots[0], &snapshots[i + 1]));
+        }
+        for k in 0..strip.min(n) {
+            span.strip_front(&step(k));
+            prop_assert_eq!(&span, &LowLevelDelta::compute(&snapshots[k + 1], &snapshots[n]));
+        }
     }
 
     /// Wire-format roundtrip for arbitrary deltas.

@@ -248,11 +248,11 @@ fn all_four_workloads_replay_equivalently() {
     }
 }
 
-/// The pipeline's landmark context rebuild rides the composed epoch
-/// deltas: however many epochs commit, the store never diffs the
-/// `origin → head` snapshots beyond the single spawn-time build — each
-/// publish seeds the span's delta from the running composition, exactly
-/// like the window manager's advances.
+/// The pipeline's landmark context rebuild rides the epoch deltas:
+/// however many epochs commit, the store never diffs two snapshots —
+/// the spawn-time build is the idle step, which needs no diff, and each
+/// publish seeds the span's delta from the running in-place span,
+/// exactly like the window manager's advances.
 #[test]
 fn pipeline_landmark_rebuilds_never_rediff_snapshots() {
     use evorec::stream::{PipelineOptions, StreamPipeline};
@@ -277,9 +277,9 @@ fn pipeline_landmark_rebuilds_never_rediff_snapshots() {
     );
     assert_eq!(
         ingestor.store().delta_computations(),
-        1,
-        "only the spawn-time idle build may diff; every epoch's landmark \
-         rebuild must be seeded from the composed delta"
+        0,
+        "neither the spawn-time idle build nor any epoch's landmark \
+         rebuild may diff snapshots"
     );
     // And the seeded composition is the real thing: the final context
     // equals a batch build over an independent store.

@@ -23,7 +23,7 @@ use crate::symbols::Symbols;
 
 /// The public serve surface: `(impl type, method prefix)` pairs.
 /// An empty prefix selects every method of the type.
-const ENTRY_POINTS: [(&str, &str); 14] = [
+const ENTRY_POINTS: [(&str, &str); 13] = [
     ("Recommender", "recommend"),
     ("BatchRecommender", "recommend"),
     ("WindowedRecommender", "recommend"),
@@ -32,7 +32,6 @@ const ENTRY_POINTS: [(&str, &str); 14] = [
     ("AdaptiveRecommender", "serve"),
     ("LiveContext", "current"),
     ("LiveContext", "epoch"),
-    ("LiveContext", "wait_for_warm"),
     ("ProfileStore", "get"),
     ("ProfileStore", "users"),
     ("ProfileStore", "stats"),

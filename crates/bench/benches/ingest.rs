@@ -70,14 +70,12 @@ fn bench_swap_latency(c: &mut Criterion) {
     let mid = evorec_versioning_mid(base, head);
     let registry = Arc::new(MeasureRegistry::standard());
     let cache = Arc::new(ReportCache::new());
-    let live = Arc::new(
-        LiveContext::with_serving(
-            Arc::new(EvolutionContext::build(store, base, head)),
-            Arc::clone(&registry),
-            Arc::clone(&cache),
-        )
-        .background_warm(true),
-    );
+    let live = Arc::new(LiveContext::with_serving(
+        Arc::new(EvolutionContext::build(store, base, head)),
+        Arc::clone(&registry),
+        Arc::clone(&cache),
+        "swap",
+    ));
     let stop = Arc::new(AtomicBool::new(false));
     let publisher = {
         let live = Arc::clone(&live);

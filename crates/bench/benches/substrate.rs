@@ -1,11 +1,11 @@
 //! Criterion micro-benchmarks for the storage / delta / graph substrate.
 //!
 //! Backs the E2 feasibility claim at the component level: pattern
-//! queries, snapshot diffing, the delta wire codec, and serial vs
-//! parallel Brandes betweenness.
+//! queries, snapshot diffing, the delta wire codec, and Brandes
+//! betweenness.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use evorec_graph::{betweenness, betweenness_parallel, SchemaGraph};
+use evorec_graph::{betweenness, SchemaGraph};
 use evorec_kb::{TriplePattern, TripleStore};
 use evorec_synth::{GeneratedKb, Scenario, SchemaConfig};
 use evorec_versioning::{decode_delta, encode_delta, LowLevelDelta};
@@ -82,9 +82,6 @@ fn bench_betweenness(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("serial_600c", |b| {
         b.iter(|| black_box(betweenness(black_box(&graph))))
-    });
-    group.bench_function("parallel4_600c", |b| {
-        b.iter(|| black_box(betweenness_parallel(black_box(&graph), 4)))
     });
     group.finish();
 }

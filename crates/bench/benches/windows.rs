@@ -3,14 +3,15 @@
 //!
 //! The advance path is the acceptance-critical one: every window moves
 //! its span delta in place (`extend_by` each new epoch, `strip_front`
-//! each evicted one, over the epoch ring), and every window's context
-//! shares the store's per-version substrates. Each iteration replays
-//! the commit stream into a freshly built store, so its delta, schema
-//! and substrate caches start cold and the time is what a new epoch
-//! costs; building the stream is set-up and is not timed. After the
-//! benches the harness prints the store's snapshot-diff count (zero:
-//! no window ever re-diffs two snapshots) and substrate count (one per
-//! epoch plus the seed's, whatever the window count) for one replay.
+//! each evicted one, with the delta the store memoised at its commit),
+//! and every window's context shares the store's per-version
+//! substrates. Each iteration replays the commit stream into a freshly
+//! built store, so its delta, schema and substrate caches start cold
+//! and the time is what a new epoch costs; building the stream is
+//! set-up and is not timed. After the benches the harness prints the
+//! store's snapshot-diff count (zero: no window ever re-diffs two
+//! snapshots) and substrate count (one per epoch plus the seed's,
+//! whatever the window count) for one replay.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use evorec_stream::{EpochCommit, IngestorConfig};

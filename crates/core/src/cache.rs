@@ -277,17 +277,6 @@ impl ReportCache {
         ReportCache::with_shards_and_capacity(DEFAULT_SHARDS, DEFAULT_CAPACITY)
     }
 
-    /// A cache with an explicit shard count and the default capacity.
-    pub fn with_shards(shards: usize) -> ReportCache {
-        ReportCache::with_shards_and_capacity(shards, DEFAULT_CAPACITY)
-    }
-
-    /// A cache with the default shard count and an explicit total entry
-    /// capacity.
-    pub fn with_capacity(entries: usize) -> ReportCache {
-        ReportCache::with_shards_and_capacity(DEFAULT_SHARDS, entries)
-    }
-
     /// A cache with explicit shard count and total entry capacity (both
     /// clamped to at least 1; the capacity is split evenly per shard).
     pub fn with_shards_and_capacity(shards: usize, entries: usize) -> ReportCache {
@@ -817,7 +806,7 @@ mod tests {
     fn clear_and_reset_stats() {
         let (_vs, ctx) = world();
         let registry = MeasureRegistry::standard();
-        let cache = ReportCache::with_shards(4);
+        let cache = ReportCache::with_shards_and_capacity(4, DEFAULT_CAPACITY);
         assert_eq!(cache.shard_count(), 4);
         let _ = cache.reports_for(&registry, &ctx);
         assert!(!cache.is_empty());

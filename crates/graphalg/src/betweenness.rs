@@ -1,11 +1,9 @@
-//! Betweenness centrality (Brandes' algorithm), serial and parallel.
+//! Betweenness centrality (Brandes' algorithm).
 //!
 //! The paper's §II(c): "the Betweenness of a class/node counts the number
 //! of the shortest paths from all nodes to all others that pass through
 //! that node". Brandes' accumulation computes exact betweenness for
-//! unweighted graphs in O(V·E); the parallel variant partitions source
-//! vertices across threads (each source's single-source pass is
-//! independent) and sums the per-thread partial scores.
+//! unweighted graphs in O(V·E).
 
 use crate::graph::{NodeIx, SchemaGraph};
 use std::collections::VecDeque;
@@ -17,47 +15,6 @@ pub fn betweenness(g: &SchemaGraph) -> Vec<f64> {
     let mut workspace = Workspace::new(g.node_count());
     for s in g.node_indexes() {
         accumulate_from_source(g, s, &mut workspace, &mut scores);
-    }
-    for score in &mut scores {
-        *score /= 2.0;
-    }
-    scores
-}
-
-/// Parallel betweenness over `threads` worker threads (values identical
-/// to [`betweenness`] up to floating-point summation order).
-pub fn betweenness_parallel(g: &SchemaGraph, threads: usize) -> Vec<f64> {
-    let n = g.node_count();
-    let threads = threads.clamp(1, n.max(1));
-    if threads <= 1 || n < 64 {
-        return betweenness(g);
-    }
-    let chunk = n.div_ceil(threads);
-    let partials: Vec<Vec<f64>> = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for worker in 0..threads {
-            let lo = worker * chunk;
-            let hi = ((worker + 1) * chunk).min(n);
-            handles.push(scope.spawn(move || {
-                let mut scores = vec![0.0; n];
-                let mut workspace = Workspace::new(n);
-                for s in lo..hi {
-                    accumulate_from_source(g, s as NodeIx, &mut workspace, &mut scores);
-                }
-                scores
-            }));
-        }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
-    });
-
-    let mut scores = vec![0.0; n];
-    for partial in partials {
-        for (acc, x) in scores.iter_mut().zip(partial) {
-            *acc += x;
-        }
     }
     for score in &mut scores {
         *score /= 2.0;
@@ -296,20 +253,6 @@ mod tests {
                     "trial {trial}, node {ix}: brandes {f} vs reference {s}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn parallel_matches_serial() {
-        // Build a graph large enough to cross the parallel threshold.
-        let n = 80u32;
-        let mut edges: Vec<(u32, u32)> = (0..n - 1).map(|i| (i, i + 1)).collect();
-        edges.extend((0..n / 4).map(|i| (i, n - 1 - i)));
-        let g = graph(n, &edges);
-        let serial = betweenness(&g);
-        let parallel = betweenness_parallel(&g, 4);
-        for (s, p) in serial.iter().zip(&parallel) {
-            assert!((s - p).abs() < 1e-6);
         }
     }
 

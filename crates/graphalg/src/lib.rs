@@ -7,9 +7,8 @@
 //!   deterministic dense node indexes;
 //! - [`bfs_distances`] / [`k_hop_neighbourhood`] — traversal primitives
 //!   behind the neighbourhood measures of §II(b);
-//! - [`betweenness`] / [`betweenness_parallel`] — exact Brandes
-//!   betweenness (the §II(c) Betweenness measure), with source
-//!   partitioning across scoped threads;
+//! - [`betweenness`] — exact Brandes betweenness (the §II(c)
+//!   Betweenness measure);
 //! - [`bridging_centrality`] — Hwang-style bridging centrality
 //!   (the §II(c) Bridging Centrality measure);
 //! - [`personalised_pagerank`] — spreading activation for the
@@ -25,7 +24,7 @@ mod components;
 mod graph;
 mod pagerank;
 
-pub use betweenness::{betweenness, betweenness_parallel, betweenness_reference};
+pub use betweenness::{betweenness, betweenness_reference};
 pub use bfs::{bfs_distances, eccentricity, k_hop_neighbourhood, UNREACHABLE};
 pub use bridging::{
     bridging_centrality, bridging_centrality_with, bridging_coefficient,

@@ -214,7 +214,7 @@ impl MeasureRegistry {
 }
 
 /// Union-graph node count below which [`MeasureRegistry::compute_all`]
-/// stays serial (matches the threshold of `betweenness_parallel`).
+/// stays serial: on smaller graphs thread start-up outweighs the work.
 const PARALLEL_NODE_THRESHOLD: usize = 64;
 
 impl std::fmt::Debug for MeasureRegistry {

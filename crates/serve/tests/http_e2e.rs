@@ -74,7 +74,6 @@ fn stack(tweak: impl FnOnce(&mut ServeOptions)) -> Stack {
             manager.on_epoch(ingestor.store(), &commit);
         }
     }
-    manager.wait_for_warm();
     let log: Arc<EventLog> = Arc::new(BoundedLog::bounded(16));
     let metrics = Arc::new(MetricsRegistry::new());
     metrics.register_source(Arc::clone(&cache) as Arc<dyn MetricsSource>);

@@ -36,6 +36,6 @@ pub mod slo;
 
 pub use event::{ChangeEvent, ChangeOp};
 pub use ingest::{EpochCommit, IngestStats, Ingestor, IngestorConfig};
-pub use live::{LiveContext, ServingHandles};
+pub use live::LiveContext;
 pub use log::{BoundedLog, EventLog, LogClosed, LogStats, TryPushError};
 pub use pipeline::{EpochSink, PipelineOptions, StreamPipeline};

@@ -8,10 +8,9 @@
 //! cache) is attached, each publish also pre-warms the catalogue into
 //! the cache — [`MeasureCost::Heavy`] measures are the point; counting
 //! measures ride along through incremental hooks that re-score only
-//! the O(|δ|) extension-touched terms — and
-//! then invalidates the superseded fingerprint's entries, optionally on
-//! a background thread so the ingest loop never stalls on a
-//! betweenness pass.
+//! the O(|δ|) extension-touched terms — and then moves the handle's
+//! cache lineage to the fresh fingerprint, dropping the superseded
+//! fingerprint's entries unless another lineage still claims them.
 //!
 //! [`MeasureCost::Heavy`]: evorec_measures::MeasureCost::Heavy
 
@@ -20,23 +19,19 @@ use evorec_measures::{EvolutionContext, MeasureRegistry, MeasureReport};
 use evorec_versioning::LowLevelDelta;
 use sched::sync::atomic::{AtomicU64, Ordering};
 use sched::sync::{Mutex, RwLock};
-use sched::thread::JoinHandle;
 use std::sync::Arc;
 
 /// A serving pair attached to a [`LiveContext`]: publishes pre-warm
-/// this registry's reports into this cache.
-#[derive(Clone)]
-pub struct ServingHandles {
-    /// The catalogue to pre-warm.
-    pub registry: Arc<MeasureRegistry>,
-    /// The cache to warm into (and invalidate superseded entries from).
-    pub cache: Arc<ReportCache>,
+/// this registry's reports into this cache, scoped to this lineage.
+struct ServingHandles {
+    registry: Arc<MeasureRegistry>,
+    cache: Arc<ReportCache>,
+    lineage: LineageId,
 }
 
 /// An atomically swapped handle to the latest published
 /// [`EvolutionContext`].
 // lint: lock-order publish_lock < current
-// lint: lock-order publish_lock < warm_worker
 pub struct LiveContext {
     current: RwLock<Arc<EvolutionContext>>,
     /// Publication counter: readers pair an Acquire load of this with
@@ -44,18 +39,11 @@ pub struct LiveContext {
     // lint: publishes
     epoch: AtomicU64,
     serving: Option<ServingHandles>,
-    /// When set, epoch-swap invalidation is scoped to this lineage:
-    /// the superseded fingerprint's entries are dropped only if no
-    /// other lineage of the shared cache still claims them.
-    lineage: Option<LineageId>,
-    background_warm: bool,
-    /// Serialises whole publishes (join previous warm → swap → spawn
-    /// next warm): concurrent `publish` calls would otherwise race on
-    /// `warm_worker`, detaching a live warm thread and letting a stale
-    /// epoch's warm/invalidate pass run after a newer one. Readers
-    /// never touch this lock.
+    /// Serialises whole publishes (swap → warm → lineage move):
+    /// concurrent `publish` calls would otherwise interleave their warm
+    /// passes and leave the lineage claiming a step older than the one
+    /// readers see. Readers never touch this lock.
     publish_lock: Mutex<()>,
-    warm_worker: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl LiveContext {
@@ -65,57 +53,36 @@ impl LiveContext {
             current: RwLock::new(initial),
             epoch: AtomicU64::new(0),
             serving: None,
-            lineage: None,
-            background_warm: false,
             publish_lock: Mutex::new(()),
-            warm_worker: Mutex::new(None),
         }
     }
 
     /// Attach a serving pair: every publish pre-warms `registry`'s
-    /// reports for the fresh context into `cache` and invalidates the
-    /// superseded fingerprint. Warming runs inline by default; see
-    /// [`background_warm`](LiveContext::background_warm).
+    /// reports for the fresh context into `cache`, then moves this
+    /// handle's cache lineage to the fresh fingerprint.
+    ///
+    /// The lineage is registered with `cache` under `label` (see
+    /// [`ReportCache::register_lineage`]) and claims `initial`'s
+    /// fingerprint at once. A superseded fingerprint's entries are
+    /// evicted only when no *other* lineage still claims it, so several
+    /// live windows can share one cache without one window's swap
+    /// evicting what another still serves.
     pub fn with_serving(
         initial: Arc<EvolutionContext>,
         registry: Arc<MeasureRegistry>,
         cache: Arc<ReportCache>,
+        label: impl Into<String>,
     ) -> LiveContext {
+        let lineage = cache.register_lineage(label);
+        cache.claim_lineage(lineage, initial.fingerprint());
         LiveContext {
-            current: RwLock::new(initial),
-            epoch: AtomicU64::new(0),
-            serving: Some(ServingHandles { registry, cache }),
-            lineage: None,
-            background_warm: false,
-            publish_lock: Mutex::new(()),
-            warm_worker: Mutex::new(None),
+            serving: Some(ServingHandles {
+                registry,
+                cache,
+                lineage,
+            }),
+            ..LiveContext::new(initial)
         }
-    }
-
-    /// Scope this handle's epoch-swap invalidation to `lineage` (a
-    /// lineage of the serving cache, see
-    /// [`ReportCache::register_lineage`]): superseded entries are
-    /// evicted only when no *other* lineage still claims their
-    /// fingerprint, so several live windows can share one cache without
-    /// one window's swap evicting what another still serves. The
-    /// initial context's fingerprint is claimed immediately.
-    pub fn with_lineage(mut self, lineage: LineageId) -> LiveContext {
-        if let Some(serving) = &self.serving {
-            serving
-                .cache
-                .claim_lineage(lineage, self.current().fingerprint());
-        }
-        self.lineage = Some(lineage);
-        self
-    }
-
-    /// Run the pre-warm pass on a background thread instead of inline,
-    /// so [`publish`](LiveContext::publish) returns as soon as the
-    /// pointer is swapped. At most one warm thread is in flight: the
-    /// next publish joins it first, keeping cache traffic ordered.
-    pub fn background_warm(mut self, on: bool) -> LiveContext {
-        self.background_warm = on;
-        self
     }
 
     /// The latest published context. Never blocks on a rebuild or a
@@ -130,7 +97,8 @@ impl LiveContext {
         self.epoch.load(Ordering::Acquire)
     }
 
-    /// Publish `next` as the live context.
+    /// Publish `next` as the live context, then (with a serving pair)
+    /// warm it into the cache before returning.
     ///
     /// `extension` is the delta between the previous context's head and
     /// `next`'s head, when the publisher knows it (the streaming
@@ -138,44 +106,16 @@ impl LiveContext {
     /// advance their previous cached reports in O(|extension|) instead
     /// of recomputing.
     pub fn publish(&self, next: Arc<EvolutionContext>, extension: Option<Arc<LowLevelDelta>>) {
-        // One publish at a time: join the previous warm pass, swap,
-        // then start (or run) this epoch's warm pass, so warm and
-        // invalidation traffic hits the cache in epoch order.
+        // One publish at a time, so warm and lineage traffic hits the
+        // cache in epoch order.
         let _serialised = self.publish_lock.lock();
-        self.join_warm();
         let previous = {
             let mut guard = self.current.write();
             std::mem::replace(&mut *guard, Arc::clone(&next))
         };
         self.epoch.fetch_add(1, Ordering::AcqRel);
-        let Some(serving) = self.serving.clone() else {
-            return;
-        };
-        let lineage = self.lineage;
-        let task =
-            move || warm_and_invalidate(&serving, &previous, &next, extension.as_deref(), lineage);
-        if self.background_warm {
-            *self.warm_worker.lock() = Some(sched::thread::spawn(task));
-        } else {
-            task();
-        }
-    }
-
-    /// Block until any in-flight background warm pass has finished
-    /// (no-op when warming runs inline). Benches and tests use this to
-    /// observe a deterministic cache state.
-    pub fn wait_for_warm(&self) {
-        self.join_warm();
-    }
-
-    fn join_warm(&self) {
-        let handle = self.warm_worker.lock().take();
-        if let Some(handle) = handle {
-            if let Err(panic) = handle.join() {
-                // Surface the warm thread's own panic instead of
-                // minting a second, less informative one here.
-                std::panic::resume_unwind(panic);
-            }
+        if let Some(serving) = &self.serving {
+            warm_and_invalidate(serving, &previous, &next, extension.as_deref());
         }
     }
 }
@@ -200,24 +140,16 @@ impl evorec_obs::MetricsSource for LiveContext {
     }
 }
 
-impl Drop for LiveContext {
-    fn drop(&mut self) {
-        self.join_warm();
-    }
-}
-
 /// Compute (or incrementally advance) every report for `next` that the
 /// cache does not already hold — another lineage publishing the same
-/// step may have warmed it — then drop the superseded fingerprint's
-/// entries: globally, or scoped to `lineage` when one is attached (the
-/// superseded entries survive while any other lineage of the shared
-/// cache still claims them).
+/// step may have warmed it — then move the handle's lineage to `next`,
+/// dropping the superseded fingerprint's entries unless another lineage
+/// of the shared cache still claims them.
 fn warm_and_invalidate(
     serving: &ServingHandles,
     previous: &EvolutionContext,
     next: &EvolutionContext,
     extension: Option<&LowLevelDelta>,
-    lineage: Option<LineageId>,
 ) {
     let old_fingerprint = previous.fingerprint();
     let new_fingerprint = next.fingerprint();
@@ -249,16 +181,9 @@ fn warm_and_invalidate(
             .unwrap_or_else(|| measure.compute(next));
         serving.cache.insert(new_fingerprint, report);
     }
-    match lineage {
-        Some(lineage) => {
-            serving
-                .cache
-                .publish_lineage(lineage, old_fingerprint, new_fingerprint);
-        }
-        None => {
-            serving.cache.invalidate_fingerprint(old_fingerprint);
-        }
-    }
+    serving
+        .cache
+        .publish_lineage(serving.lineage, old_fingerprint, new_fingerprint);
 }
 
 impl std::fmt::Debug for LiveContext {
@@ -266,9 +191,7 @@ impl std::fmt::Debug for LiveContext {
         f.debug_struct("LiveContext")
             .field("epoch", &self.epoch())
             .field("fingerprint", &self.current().fingerprint())
-            .field("serving", &self.serving.is_some())
-            .field("lineage", &self.lineage)
-            .field("background_warm", &self.background_warm)
+            .field("lineage", &self.serving.as_ref().map(|s| s.lineage))
             .finish()
     }
 }
@@ -324,6 +247,7 @@ mod tests {
             Arc::clone(&first),
             Arc::clone(&registry),
             Arc::clone(&cache),
+            "live",
         );
         // Warm the first epoch the ordinary way.
         let _ = cache.reports_for(&registry, &first);
@@ -346,28 +270,6 @@ mod tests {
     }
 
     #[test]
-    fn background_warm_converges_after_wait() {
-        let vs = store();
-        let registry = Arc::new(MeasureRegistry::standard());
-        let cache = Arc::new(ReportCache::new());
-        let first = Arc::new(EvolutionContext::build(&vs, v(0), v(1)));
-        let live = LiveContext::with_serving(
-            Arc::clone(&first),
-            Arc::clone(&registry),
-            Arc::clone(&cache),
-        )
-        .background_warm(true);
-        let second = Arc::new(EvolutionContext::build(&vs, v(0), v(2)));
-        live.publish(Arc::clone(&second), Some(vs.delta(v(1), v(2))));
-        // The swap is immediately visible even while warming runs.
-        assert!(Arc::ptr_eq(&live.current(), &second));
-        live.wait_for_warm();
-        cache.reset_stats();
-        let _ = cache.reports_for(&registry, &second);
-        assert_eq!(cache.stats().misses, 0);
-    }
-
-    #[test]
     fn republishing_same_step_keeps_entries() {
         let vs = store();
         let registry = Arc::new(MeasureRegistry::standard());
@@ -377,6 +279,7 @@ mod tests {
             Arc::clone(&ctx),
             Arc::clone(&registry),
             Arc::clone(&cache),
+            "live",
         );
         let _ = cache.reports_for(&registry, &ctx);
         let rebuilt = Arc::new(EvolutionContext::build(&vs, v(0), v(1)));
@@ -399,6 +302,7 @@ mod tests {
             Arc::clone(&first),
             Arc::clone(&registry),
             Arc::clone(&cache),
+            "live",
         );
         let _ = cache.reports_for(&registry, &first);
         let rolled = Arc::new(EvolutionContext::build(&vs, v(1), v(2)));
@@ -421,14 +325,14 @@ mod tests {
             Arc::clone(&shared),
             Arc::clone(&registry),
             Arc::clone(&cache),
-        )
-        .with_lineage(cache.register_lineage("a"));
+            "a",
+        );
         let b = LiveContext::with_serving(
             Arc::clone(&shared),
             Arc::clone(&registry),
             Arc::clone(&cache),
-        )
-        .with_lineage(cache.register_lineage("b"));
+            "b",
+        );
         let _ = cache.reports_for(&registry, &shared);
         assert_eq!(cache.len(), registry.len());
 
@@ -464,8 +368,8 @@ mod tests {
                 Arc::clone(&first),
                 Arc::clone(&registry),
                 Arc::clone(&cache),
+                label,
             )
-            .with_lineage(cache.register_lineage(label))
         };
         let (pipeline, window) = (live("pipeline"), live("window"));
         let _ = cache.reports_for(&registry, &first);
@@ -488,20 +392,18 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_publishes_serialise_without_losing_warm_threads() {
+    fn concurrent_publishes_serialise_their_warm_passes() {
         let vs = store();
         let registry = Arc::new(MeasureRegistry::standard());
         let cache = Arc::new(ReportCache::new());
         let a = Arc::new(EvolutionContext::build(&vs, v(0), v(1)));
         let b = Arc::new(EvolutionContext::build(&vs, v(0), v(2)));
-        let live = Arc::new(
-            LiveContext::with_serving(
-                Arc::clone(&a),
-                Arc::clone(&registry),
-                Arc::clone(&cache),
-            )
-            .background_warm(true),
-        );
+        let live = Arc::new(LiveContext::with_serving(
+            Arc::clone(&a),
+            Arc::clone(&registry),
+            Arc::clone(&cache),
+            "live",
+        ));
         let publishers: Vec<_> = (0..4)
             .map(|i| {
                 let live = Arc::clone(&live);
@@ -517,12 +419,11 @@ mod tests {
         for p in publishers {
             p.join().unwrap();
         }
-        live.wait_for_warm();
         assert_eq!(live.epoch(), 40);
         // After the last warm pass only the live epoch's entries (or
         // none, if the final publish republished the resident step and
         // skipped work) remain — never both epochs' entries, which is
-        // what a lost warm thread running out of order would leave.
+        // what two warm passes interleaving out of order would leave.
         let resident = cache.len();
         assert!(
             resident == 0 || resident == registry.len(),

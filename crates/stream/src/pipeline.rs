@@ -62,8 +62,6 @@ pub trait EpochSink: Send + Sync {
 /// Options of [`StreamPipeline::spawn`].
 #[derive(Clone, Default)]
 pub struct PipelineOptions {
-    /// Capacity of the event log (0 → `4 × max_batch`).
-    pub channel_capacity: usize,
     /// Context origin: published contexts span `origin → head`.
     /// Defaults to the ingestor's head at spawn time (so the first
     /// published context is the idle step `head → head`).
@@ -74,9 +72,6 @@ pub struct PipelineOptions {
     /// never evict fingerprints other lineages (e.g. serving windows
     /// sharing the cache) still claim.
     pub serving: Option<(Arc<MeasureRegistry>, Arc<ReportCache>)>,
-    /// Run the pre-warm pass on a background thread (see
-    /// [`LiveContext::background_warm`]).
-    pub background_warm: bool,
     /// Epoch observers, called after every commit in commit order.
     pub sinks: Vec<Arc<dyn EpochSink>>,
     /// Span tracer for the ingest worker: `ingest` and `epoch_commit`
@@ -116,22 +111,16 @@ impl StreamPipeline {
              history before spawning the pipeline"
         );
         let max_batch = ingestor.config().max_batch.max(1);
-        let capacity = if options.channel_capacity == 0 {
-            max_batch * 4
-        } else {
-            options.channel_capacity
-        };
         let initial = Arc::new(EvolutionContext::build(ingestor.store(), origin, head));
         let live = Arc::new(match options.serving {
             Some((registry, cache)) => {
-                let lineage = cache.register_lineage("pipeline");
-                LiveContext::with_serving(initial, registry, cache)
-                    .background_warm(options.background_warm)
-                    .with_lineage(lineage)
+                LiveContext::with_serving(initial, registry, cache, "pipeline")
             }
             None => LiveContext::new(initial),
         });
-        let log = Arc::new(EventLog::bounded(capacity));
+        // Room for four micro-batches: producers block once the worker
+        // falls that far behind.
+        let log = Arc::new(EventLog::bounded(4 * max_batch));
         let worker = {
             let log = Arc::clone(&log);
             let live = Arc::clone(&live);
@@ -177,7 +166,7 @@ impl StreamPipeline {
     /// the worker, and hand back the ingestor (history + ledger).
     pub fn shutdown(mut self) -> Ingestor {
         self.log.close();
-        let ingestor = match self.worker.take() {
+        match self.worker.take() {
             Some(worker) => match worker.join() {
                 Ok(ingestor) => ingestor,
                 Err(panic) => std::panic::resume_unwind(panic),
@@ -185,9 +174,7 @@ impl StreamPipeline {
             // The handle is vacated only here and in `Drop`, and
             // `shutdown` consumes the pipeline before `Drop` can run.
             None => unreachable!("shutdown runs at most once per pipeline"),
-        };
-        self.live.wait_for_warm();
-        ingestor
+        }
     }
 }
 

@@ -5,7 +5,9 @@
 //!
 //! - [`VersionedStore`] — a linear snapshot history over one shared
 //!   interner, with memoised pairwise deltas, schema views and
-//!   per-version graph substrates;
+//!   per-version graph substrates; each commit memoises its epoch's
+//!   delta, which sliding serving windows strip their evicted epochs
+//!   with instead of re-diffing snapshots;
 //! - [`VersionSubstrate`] — one version's class graph, betweenness,
 //!   bridging centrality and snapshot digests, computed once and shared
 //!   by every evolution step over the version;
@@ -18,9 +20,6 @@
 //!   perspective (§III(b));
 //! - [`Archive`] / [`ArchivePolicy`] — archiving policies after
 //!   Stefanidis et al. (ER 2014), the paper's reference \[13\];
-//! - [`EpochRing`] / [`EpochEntry`] — a bounded ring of per-epoch
-//!   deltas, which sliding serving windows strip their evicted epochs
-//!   from instead of re-diffing snapshots;
 //! - [`Timeline`] / [`Trend`] — per-term change series over whole
 //!   histories ("observe changes trends", §I);
 //! - [`codec`] — a compact delta wire format after Cloran & Irwin,
@@ -33,7 +32,6 @@ mod changes;
 pub mod codec;
 mod delta;
 mod provenance;
-mod ring;
 mod store;
 mod substrate;
 mod timeline;
@@ -45,7 +43,6 @@ pub use changes::{describe_all, Change, ChangeKind, ChangeSet};
 pub use codec::{decode_delta, encode_delta, CodecError};
 pub use delta::LowLevelDelta;
 pub use provenance::{Justification, ProvenanceLedger, ProvenanceRecord, RecordId};
-pub use ring::{EpochEntry, EpochRing};
 pub use store::VersionedStore;
 pub use substrate::{StepEnd, VersionSubstrate};
 pub use timeline::{classify_trend, Timeline, Trend};

@@ -16,8 +16,8 @@
 //! The load-bearing property: a sliding window advances its span delta
 //! in place in O(|evicted ε| + |new ε|) set work
 //! ([`LowLevelDelta::extend_by`] with the new epoch,
-//! [`LowLevelDelta::strip_front`] with the evicted one, drawn from an
-//! [`EpochRing`] of epoch deltas) — never by re-diffing snapshots — yet
+//! [`LowLevelDelta::strip_front`] with the evicted one, whose delta the
+//! store memoised when it committed) — never by re-diffing snapshots — yet
 //! every published context is bit-identical, fingerprint included, to a
 //! batch build over the same span. Every window's context shares the
 //! store's per-version substrates ([`VersionedStore::substrate`]), so
@@ -28,7 +28,6 @@
 //!
 //! [`EpochSink`]: evorec_stream::EpochSink
 //! [`LiveContext`]: evorec_stream::LiveContext
-//! [`EpochRing`]: evorec_versioning::EpochRing
 //! [`LowLevelDelta::extend_by`]: evorec_versioning::LowLevelDelta::extend_by
 //! [`LowLevelDelta::strip_front`]: evorec_versioning::LowLevelDelta::strip_front
 //! [`VersionedStore::substrate`]: evorec_versioning::VersionedStore::substrate

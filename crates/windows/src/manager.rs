@@ -5,7 +5,7 @@ use evorec_core::ReportCache;
 use evorec_measures::{EvolutionContext, MeasureRegistry};
 use evorec_obs::{span, SpanHandle, Tracer};
 use evorec_stream::{EpochCommit, EpochSink, LiveContext};
-use evorec_versioning::{EpochEntry, EpochRing, LowLevelDelta, VersionId, VersionedStore};
+use evorec_versioning::{LowLevelDelta, VersionId, VersionedStore};
 use sched::sync::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -18,14 +18,6 @@ pub struct WindowManagerOptions {
     /// window's epoch swap never evicts derived artefacts another
     /// window still serves.
     pub serving: Option<(Arc<MeasureRegistry>, Arc<ReportCache>)>,
-    /// Run each window's pre-warm pass on a background thread (see
-    /// [`LiveContext::background_warm`]).
-    pub background_warm: bool,
-    /// Epochs retained for sliding-window composition (0 → sized
-    /// automatically from the largest sliding span: `SlidingEpochs(k)`
-    /// counts `k`, `SlidingTime(Δt)` counts `Δt` clock ticks, capped
-    /// at 1024).
-    pub ring_capacity: usize,
     /// Treat this version as the stream head at construction instead
     /// of the store's current head: a manager anchored at a historical
     /// point can then be replayed forward over already-committed
@@ -41,9 +33,9 @@ pub struct WindowManagerStats {
     pub epochs: u64,
     /// Window contexts published (≤ `epochs × window count`).
     pub publishes: u64,
-    /// Sliding advances that found their evicted epoch missing from
-    /// the ring and fell back to the store's memoised adjacent-pair
-    /// delta (a sizing warning, not a snapshot re-diff).
+    /// Always 0: sliding windows strip evicted epochs with the store's
+    /// memoised epoch deltas, which every commit seeds, so nothing can
+    /// miss. Kept so existing readers of the field still compile.
     pub ring_fallbacks: u64,
 }
 
@@ -61,6 +53,19 @@ struct WindowState {
     epochs: usize,
 }
 
+impl WindowState {
+    /// Strip the window's oldest covered epoch off the front of its
+    /// span delta and advance its `from` bound by one version. The
+    /// epoch's delta is the one the store memoised when it committed,
+    /// so this never re-diffs snapshots.
+    fn strip_oldest_epoch(&mut self, store: &VersionedStore) {
+        let next = VersionId::from_u32(self.from.as_u32() + 1);
+        Arc::make_mut(&mut self.span).strip_front(&store.delta(self.from, next));
+        self.from = next;
+        self.epochs = self.epochs.saturating_sub(1);
+    }
+}
+
 /// One managed window: its definition and the live handle readers
 /// serve from.
 struct Window {
@@ -68,10 +73,9 @@ struct Window {
     live: Arc<LiveContext>,
 }
 
-/// Everything the epoch callback mutates, in one lock: the shared
-/// epoch-delta ring plus each window's span state.
+/// Everything the epoch callback mutates, in one lock: each window's
+/// span state plus the stream head.
 struct ManagerState {
-    ring: EpochRing,
     windows: Vec<WindowState>,
     /// The stream head as of the last observed epoch (construction
     /// head initially); `advance` asserts each commit extends it.
@@ -82,11 +86,11 @@ struct ManagerState {
 ///
 /// Subscribe it to a [`StreamPipeline`] via
 /// [`PipelineOptions::sinks`]: on every committed epoch the manager
-/// appends the epoch's delta to a bounded [`EpochRing`] and advances
-/// each window's span delta *in place* — a landmark window extends it
-/// by the new epoch ([`LowLevelDelta::extend_by`]), a sliding window
-/// additionally strips its evicted oldest epoch off the front
-/// ([`LowLevelDelta::strip_front`]), in O(|evicted ε| + |new ε|) set
+/// advances each window's span delta *in place* — a landmark window
+/// extends it by the new epoch ([`LowLevelDelta::extend_by`]), a
+/// sliding window additionally strips its evicted oldest epoch off the
+/// front ([`LowLevelDelta::strip_front`]) with the delta the store
+/// memoised when that epoch committed, in O(|evicted ε| + |new ε|) set
 /// work — then seeds the store's delta cache with it and builds the
 /// window's [`EvolutionContext`] from the seeded delta. No window
 /// advance ever re-diffs two snapshots (watch
@@ -100,7 +104,8 @@ struct ManagerState {
 ///
 /// Each window publishes through its own [`LiveContext`]; with a
 /// serving pair attached, all windows share one [`ReportCache`] under
-/// per-window lineages, and a window whose origin did not move hands
+/// per-window lineages, each publish warms its window inline before
+/// the advance returns, and a window whose origin did not move hands
 /// the epoch delta to the incremental measure hooks.
 ///
 /// [`StreamPipeline`]: evorec_stream::StreamPipeline
@@ -112,7 +117,6 @@ pub struct WindowManager {
     state: Mutex<ManagerState>,
     epochs: AtomicU64,
     publishes: AtomicU64,
-    ring_fallbacks: AtomicU64,
 }
 
 impl WindowManager {
@@ -154,30 +158,6 @@ impl WindowManager {
                 def.name
             );
         }
-        // Auto-size the ring from the widest sliding span: k epochs
-        // for an epoch-counted window; for a wall-clock band the store
-        // clock ticks once per commit, so a Δt band covers at most Δt
-        // epochs (capped — a band wide enough to never strip needs no
-        // ring at all, and undersizing only costs counted fallbacks to
-        // the store's memoised adjacent-pair deltas, never a re-diff
-        // of a commit-built history).
-        let max_sliding = defs
-            .iter()
-            .filter_map(|d| match d.spec {
-                WindowSpec::SlidingEpochs(k) => Some(k),
-                WindowSpec::SlidingTime(dt) => {
-                    Some(usize::try_from(dt.min(1024)).unwrap_or(1024))
-                }
-                _ => None,
-            })
-            .max()
-            .unwrap_or(0);
-        let ring_capacity = if options.ring_capacity == 0 {
-            (max_sliding + 1).max(8)
-        } else {
-            options.ring_capacity
-        };
-
         let mut windows = Vec::with_capacity(defs.len());
         let mut states = Vec::with_capacity(defs.len());
         for def in defs {
@@ -201,12 +181,12 @@ impl WindowManager {
             let span = store.delta(from, head);
             let initial = Arc::new(EvolutionContext::build(store, from, head));
             let live = match &options.serving {
-                Some((registry, cache)) => {
-                    let lineage = cache.register_lineage(def.name.clone());
-                    LiveContext::with_serving(initial, Arc::clone(registry), Arc::clone(cache))
-                        .background_warm(options.background_warm)
-                        .with_lineage(lineage)
-                }
+                Some((registry, cache)) => LiveContext::with_serving(
+                    initial,
+                    Arc::clone(registry),
+                    Arc::clone(cache),
+                    def.name.clone(),
+                ),
                 None => LiveContext::new(initial),
             };
             states.push(WindowState {
@@ -227,13 +207,11 @@ impl WindowManager {
             origin,
             serving: options.serving,
             state: Mutex::new(ManagerState {
-                ring: EpochRing::new(ring_capacity),
                 windows: states,
                 head,
             }),
             epochs: AtomicU64::new(0),
             publishes: AtomicU64::new(0),
-            ring_fallbacks: AtomicU64::new(0),
         }
     }
 
@@ -279,15 +257,7 @@ impl WindowManager {
         WindowManagerStats {
             epochs: self.epochs.load(Ordering::Relaxed),
             publishes: self.publishes.load(Ordering::Relaxed),
-            ring_fallbacks: self.ring_fallbacks.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Block until every window's in-flight background warm pass has
-    /// finished (no-op with inline warming).
-    pub fn wait_for_warm(&self) {
-        for window in &self.windows {
-            window.live.wait_for_warm();
+            ring_fallbacks: 0,
         }
     }
 
@@ -331,16 +301,9 @@ impl WindowManager {
             epoch_from, commit.version, guard.head
         );
         guard.head = commit.version;
-        let ManagerState { ring, windows, .. } = &mut *guard;
-        ring.push(EpochEntry {
-            from: epoch_from,
-            to: commit.version,
-            delta: Arc::clone(&commit.delta),
-            timestamp,
-        });
-        for (window, state) in self.windows.iter().zip(windows.iter_mut()) {
+        for (window, state) in self.windows.iter().zip(guard.windows.iter_mut()) {
             let origin_moved =
-                self.advance_window(window, state, ring, store, commit, epoch_from, timestamp);
+                self.advance_window(window, state, store, commit, epoch_from, timestamp);
             self.publish_window(window, state, store, commit, origin_moved);
         }
         advance_span.finish();
@@ -349,12 +312,10 @@ impl WindowManager {
     /// Move one window's bounds and span delta for the new epoch.
     /// Returns whether the window's `from` bound moved (which disables
     /// the incremental measure hooks for this publish).
-    #[allow(clippy::too_many_arguments)] // internal epoch-step plumbing
     fn advance_window(
         &self,
         window: &Window,
         state: &mut WindowState,
-        ring: &EpochRing,
         store: &VersionedStore,
         commit: &EpochCommit,
         epoch_from: VersionId,
@@ -376,7 +337,7 @@ impl WindowManager {
                 Arc::make_mut(&mut state.span).extend_by(&commit.delta);
                 state.epochs += 1;
                 while state.epochs > k {
-                    self.strip_oldest_epoch(state, ring, store);
+                    state.strip_oldest_epoch(store);
                 }
             }
             WindowSpec::SlidingTime(dt) => {
@@ -392,7 +353,7 @@ impl WindowManager {
                     commit.version,
                 );
                 while state.from < target {
-                    self.strip_oldest_epoch(state, ring, store);
+                    state.strip_oldest_epoch(store);
                 }
             }
             WindowSpec::Since(t) => {
@@ -409,30 +370,6 @@ impl WindowManager {
             }
         }
         state.from != old_from
-    }
-
-    /// Strip the window's oldest covered epoch off the front of its
-    /// span delta and advance its `from` bound by one version.
-    fn strip_oldest_epoch(
-        &self,
-        state: &mut WindowState,
-        ring: &EpochRing,
-        store: &VersionedStore,
-    ) {
-        let evicted = match ring.entry_starting_at(state.from) {
-            Some(entry) => Arc::clone(&entry.delta),
-            None => {
-                // The ring no longer retains the evicted epoch; the
-                // store's adjacent-pair delta cache (seeded at commit
-                // time) still does.
-                self.ring_fallbacks.fetch_add(1, Ordering::Relaxed);
-                let next = VersionId::from_u32(state.from.as_u32() + 1);
-                store.delta(state.from, next)
-            }
-        };
-        Arc::make_mut(&mut state.span).strip_front(&evicted);
-        state.from = VersionId::from_u32(state.from.as_u32() + 1);
-        state.epochs = state.epochs.saturating_sub(1);
     }
 
     /// Seed the store's delta cache with the window's span delta and
@@ -491,10 +428,6 @@ impl evorec_obs::MetricsSource for WindowManager {
         out.push(evorec_obs::Sample::counter(
             "evorec_windows_publishes_total",
             stats.publishes,
-        ));
-        out.push(evorec_obs::Sample::counter(
-            "evorec_windows_ring_fallbacks_total",
-            stats.ring_fallbacks,
         ));
         out.push(evorec_obs::Sample::gauge(
             "evorec_windows_managed",
@@ -808,6 +741,28 @@ mod tests {
         let ctx = manager.window("empty").unwrap().current();
         assert!(ctx.delta.is_empty());
         assert_eq!(ctx.from, ctx.to);
+    }
+
+    #[test]
+    fn huge_sliding_span_behaves_like_a_landmark() {
+        // A band wider than any history never strips: it tracks the
+        // landmark window beside it, and building the manager with it
+        // must not overflow.
+        let (mut ingestor, typings) = seeded();
+        let origin = ingestor.head().unwrap();
+        let manager = WindowManager::new(
+            ingestor.store(),
+            origin,
+            vec![
+                WindowDef::new("huge", WindowSpec::SlidingEpochs(usize::MAX)),
+                WindowDef::new("release", WindowSpec::Landmark),
+            ],
+            WindowManagerOptions::default(),
+        );
+        run_epochs(&mut ingestor, &manager, &typings[..1]);
+        let head = ingestor.head().unwrap();
+        assert_eq!(manager.span("huge"), Some((origin, head)));
+        assert_eq!(manager.span("huge"), manager.span("release"));
     }
 
     #[test]

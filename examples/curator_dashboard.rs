@@ -76,7 +76,6 @@ fn main() {
     );
     stream_into(&world, pipeline.log());
     let ingestor = pipeline.shutdown();
-    manager.wait_for_warm();
     let mstats = manager.stats();
     println!(
         "pipeline committed {} epochs; window manager published {} contexts \

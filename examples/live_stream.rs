@@ -87,7 +87,6 @@ fn main() {
             );
             std::thread::yield_now();
         }
-        live.wait_for_warm();
         let ctx = live.current();
         let recommendation = recommender.recommend(&ctx, &curator);
         println!(

@@ -296,7 +296,6 @@ fn main() {
             manager.on_epoch(ingestor.store(), &commit);
         }
     }
-    manager.wait_for_warm();
     let metrics = Arc::new(MetricsRegistry::new());
     metrics.register_source(Arc::clone(&cache) as Arc<dyn MetricsSource>);
     let windowed = Arc::new(WindowedRecommender::new(

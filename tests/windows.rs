@@ -235,7 +235,6 @@ fn four_window_pipeline_serves_batch_identical_contexts_warm() {
     let pushed = stream_into(&world, pipeline.log());
     assert!(pushed > 0);
     let ingestor = pipeline.shutdown();
-    manager.wait_for_warm();
     assert!(manager.stats().epochs >= 1);
 
     // Bit-identical to batch builds on an independent store.

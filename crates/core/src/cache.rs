@@ -206,9 +206,9 @@ pub struct CacheStats {
     pub derived_misses: u64,
     /// Entries dropped by capacity pressure (both levels, FIFO).
     pub evictions: u64,
-    /// Entries dropped by explicit fingerprint invalidation
-    /// ([`ReportCache::invalidate_fingerprint`] and
-    /// [`ReportCache::publish_lineage`], both levels).
+    /// Entries dropped by explicit fingerprint invalidation, both
+    /// levels: a [`ReportCache::publish_lineage`] that supersedes a
+    /// fingerprint no other lineage claims.
     pub invalidations: u64,
     /// Per-lineage counters, registration order (empty when no lineage
     /// is registered — the single-consumer setups).
@@ -544,9 +544,10 @@ impl ReportCache {
 
     /// Drop every entry — report-level and derived-level — belonging to
     /// the step identified by `fingerprint`, returning how many were
-    /// removed. The streaming layer calls this on epoch swap so entries
-    /// of superseded contexts stop occupying capacity (holders of the
-    /// shared `Arc`s keep their copies alive, of course).
+    /// removed. [`publish_lineage`](ReportCache::publish_lineage) calls
+    /// this on epoch swap so entries of superseded contexts stop
+    /// occupying capacity (holders of the shared `Arc`s keep their
+    /// copies alive, of course).
     ///
     /// Best-effort, not a barrier: a reader still serving a request
     /// against the superseded context can recompute and re-insert its
@@ -554,7 +555,7 @@ impl ReportCache {
     /// a different step (keys carry the fingerprint) and capacity stays
     /// bounded — they just occupy FIFO slots until evicted or until a
     /// later invalidation of the same fingerprint.
-    pub fn invalidate_fingerprint(&self, fingerprint: ContextFingerprint) -> usize {
+    fn invalidate_fingerprint(&self, fingerprint: ContextFingerprint) -> usize {
         let mut removed = 0;
         for shard in self.shards.iter() {
             let mut guard = shard.write();

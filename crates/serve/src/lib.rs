@@ -2,8 +2,8 @@
 //!
 //! Everything below this crate is a library; this is the process
 //! boundary — a hand-rolled, dependency-free HTTP/1.1 server (no
-//! async runtime: a non-blocking acceptor plus a worker pool over a
-//! bounded connection queue) fronting an
+//! async runtime: a blocking acceptor plus a worker pool over a
+//! [`BoundedLog`](evorec_stream::BoundedLog) of connections) fronting an
 //! [`AdaptiveRecommender`](evorec_adapt::AdaptiveRecommender):
 //!
 //! | Route | Verb | Does |
@@ -31,7 +31,6 @@
 pub mod admission;
 pub mod http;
 pub mod json;
-pub mod queue;
 pub mod server;
 pub mod slo;
 pub mod stats;
@@ -42,7 +41,6 @@ pub use admission::{
 };
 pub use http::{ConnReader, ReadError, Request, Response, MAX_BODY_BYTES, MAX_HEAD_BYTES};
 pub use json::{Json, JsonError};
-pub use queue::{BoundedQueue, QueueRejected};
 pub use server::{HttpServer, ServeOptions};
 pub use stats::{Endpoint, ServerStats};
 pub use wire::{BulkRequest, RecommendRequest, WireError};

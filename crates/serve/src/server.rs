@@ -1,13 +1,13 @@
-//! The serving edge proper: a non-blocking acceptor, a worker pool
-//! over a [`BoundedQueue`] of connections, and the route table
-//! fronting an [`AdaptiveRecommender`].
+//! The serving edge proper: a blocking acceptor, a worker pool over a
+//! [`BoundedLog`] of connections, and the route table fronting an
+//! [`AdaptiveRecommender`].
 //!
 //! Request lifecycle:
 //!
-//! 1. The acceptor takes the TCP connection and `try_push`es it onto
-//!    the bounded dispatch queue — a full queue answers 429
-//!    immediately (load-shedding at the door, never an unbounded
-//!    backlog).
+//! 1. The acceptor blocks in `accept()` and `try_push`es each
+//!    connection onto the bounded dispatch queue — a full queue
+//!    answers 429 immediately (load-shedding at the door, never an
+//!    unbounded backlog).
 //! 2. A worker pops the connection and serves requests off it
 //!    (keep-alive) until the peer hangs up, an error closes it, or
 //!    shutdown begins.
@@ -19,27 +19,29 @@
 //!    wired) that parents the engine's own `serve` span, and answers
 //!    with an `X-Evorec-Timing` header.
 //!
-//! Shutdown is a drain, not a drop: the acceptor stops, the queue
-//! closes, workers finish queued and in-flight requests, and the
-//! adapt worker is flushed with [`AdaptiveRecommender::sync`] so
-//! feedback accepted before the stop is applied before the stop
-//! returns.
+//! Every connection the edge closes is half-closed first, so a client
+//! whose request was refused unread (a 429 at the door, a 413) reads
+//! the answer to EOF instead of a reset.
+//!
+//! Shutdown is a drain, not a drop: the acceptor is woken by one
+//! connection to its own address and stops, the queue closes, workers
+//! finish queued and in-flight requests, and the adapt worker is
+//! flushed with [`AdaptiveRecommender::sync`] so feedback accepted
+//! before the stop is applied before the stop returns.
 
 use crate::admission::{AdmissionController, AdmissionDecision, AdmissionOptions};
 use crate::http::{ConnReader, ReadError, Request, Response};
 use crate::json;
-use crate::queue::{BoundedQueue, QueueRejected};
 use crate::stats::{Endpoint, ServerStats};
 use crate::wire;
 use evorec_adapt::AdaptiveRecommender;
 use evorec_core::UserProfile;
 use evorec_obs::{span, trace_json, Clock, MetricsRegistry, MonotonicClock, SpanHandle, Tracer};
-use evorec_stream::TryPushError;
+use evorec_stream::{BoundedLog, TryPushError};
 use evorec_telemetry::{HealthStatus, TelemetryCollector};
 use sched::sync::atomic::{AtomicBool, Ordering};
-use sched::sync::{Condvar, Mutex};
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -55,8 +57,8 @@ pub struct ServeOptions {
     /// Admission limits.
     pub admission: AdmissionOptions,
     /// Socket read timeout — also the poll cadence for idle
-    /// keep-alive connections and the acceptor's park interval, so it
-    /// bounds shutdown latency.
+    /// keep-alive connections, so it bounds how long shutdown waits
+    /// for an idle one.
     pub read_timeout: Duration,
     /// Time source for latencies, timing headers, and token buckets.
     /// `None` = a fresh [`MonotonicClock`].
@@ -82,6 +84,14 @@ impl Default for ServeOptions {
     }
 }
 
+/// How long shutdown's wake connection may take to reach the acceptor.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// The acceptor's pause after an accept error other than `Interrupted`
+/// (descriptor or buffer exhaustion), so a persistent error cannot
+/// spin a core. Shutdown waits out at most one.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(2);
+
 struct EdgeCore {
     adaptive: Arc<AdaptiveRecommender>,
     registry: Arc<MetricsRegistry>,
@@ -90,36 +100,14 @@ struct EdgeCore {
     clock: Arc<dyn Clock>,
     admission: Arc<AdmissionController>,
     stats: Arc<ServerStats>,
-    queue: BoundedQueue<TcpStream>,
+    queue: Arc<BoundedLog<TcpStream>>,
     stopping: AtomicBool,
-    stop: Mutex<bool>,
-    wake: Condvar,
     read_timeout: Duration,
 }
 
 impl EdgeCore {
     fn is_stopping(&self) -> bool {
         self.stopping.load(Ordering::Acquire)
-    }
-
-    fn begin_stop(&self) {
-        self.stopping.store(true, Ordering::Release);
-        *self.stop.lock() = true;
-        self.wake.notify_all();
-    }
-
-    /// Park the acceptor between accept attempts; wakes immediately
-    /// on [`begin_stop`](EdgeCore::begin_stop). (The no-`thread::sleep`
-    /// rule is not a technicality here: a sleeping acceptor would add
-    /// its whole sleep to shutdown latency.) The park is capped well
-    /// below `read_timeout` — it is also the accept latency a fresh
-    /// connection pays when the listener is idle.
-    fn park(&self) {
-        let pause = self.read_timeout.min(Duration::from_millis(2));
-        let guard = self.stop.lock();
-        if !*guard {
-            let _ = self.wake.wait_timeout(guard, pause);
-        }
     }
 }
 
@@ -142,17 +130,14 @@ impl HttpServer {
         options: ServeOptions,
     ) -> io::Result<HttpServer> {
         let listener = TcpListener::bind(&options.addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let clock: Arc<dyn Clock> = match options.clock {
             Some(c) => c,
             None => Arc::new(MonotonicClock::new()),
         };
         let admission = AdmissionController::new(options.admission, Arc::clone(&clock));
-        let stats = Arc::new(ServerStats::new(
-            Arc::clone(&admission),
-            options.queue_capacity,
-        ));
+        let queue = Arc::new(BoundedLog::bounded(options.queue_capacity));
+        let stats = Arc::new(ServerStats::new(Arc::clone(&admission), Arc::clone(&queue)));
         registry.register_source(Arc::clone(&stats) as Arc<dyn evorec_obs::MetricsSource>);
         let core = Arc::new(EdgeCore {
             adaptive,
@@ -162,10 +147,8 @@ impl HttpServer {
             clock,
             admission,
             stats,
-            queue: BoundedQueue::new(options.queue_capacity),
+            queue,
             stopping: AtomicBool::new(false),
-            stop: Mutex::new(false),
-            wake: Condvar::new(),
             read_timeout: options.read_timeout,
         });
         let acceptor = {
@@ -200,8 +183,18 @@ impl HttpServer {
     }
 
     fn shutdown_inner(&mut self) {
-        self.core.begin_stop();
+        self.core.stopping.store(true, Ordering::Release);
         if let Some(acceptor) = self.acceptor.take() {
+            // The acceptor is blocked in accept(): one connection to
+            // its own address wakes it to see `stopping`.
+            let mut wake = self.addr;
+            if wake.ip().is_unspecified() {
+                wake.set_ip(match wake.ip() {
+                    IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+                    IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+                });
+            }
+            let _ = TcpStream::connect_timeout(&wake, WAKE_TIMEOUT);
             let _ = acceptor.join();
         }
         self.core.queue.close();
@@ -220,30 +213,26 @@ impl Drop for HttpServer {
 }
 
 fn accept_loop(core: &EdgeCore, listener: TcpListener) {
-    loop {
-        if core.is_stopping() {
-            break;
-        }
+    while !core.is_stopping() {
         match listener.accept() {
+            // Checked before counting or queueing, so shutdown's wake
+            // connection is never counted or served.
+            Ok(_) if core.is_stopping() => break,
             Ok((stream, _peer)) => {
                 core.stats.connection_accepted();
-                // Accepted sockets must not inherit the listener's
-                // non-blocking mode: workers use timeout reads.
-                let _ = stream.set_nonblocking(false);
                 let _ = stream.set_read_timeout(Some(core.read_timeout));
                 let _ = stream.set_nodelay(true);
                 match core.queue.try_push(stream) {
-                    Ok(()) => core.stats.set_queue_depth(core.queue.len()),
-                    Err(QueueRejected::Full(stream)) => {
+                    Ok(()) => {}
+                    Err(TryPushError::Full(stream)) => {
                         core.stats.queue_rejected();
                         shed(core, stream);
                     }
-                    Err(QueueRejected::Closed(_)) => break,
+                    Err(TryPushError::Closed(_)) => break,
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => core.park(),
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => core.park(),
+            Err(_) => std::thread::park_timeout(ACCEPT_BACKOFF),
         }
     }
 }
@@ -255,16 +244,20 @@ fn shed(core: &EdgeCore, mut stream: TcpStream) {
     let resp = Response::error(429, "dispatch queue full")
         .with_header("Retry-After", "1");
     let _ = resp.write_to(&mut stream, false);
+    // Half-close: the request is still unread, and a plain close would
+    // reset the connection under the client's read of this answer.
+    let _ = stream.shutdown(Shutdown::Write);
     core.stats.record(Endpoint::Other, 429, 0);
 }
 
 fn worker_loop(core: &EdgeCore) {
-    while let Some(mut stream) = core.queue.pop() {
-        core.stats.set_queue_depth(core.queue.len());
+    while let Some(mut stream) = core.queue.pop_batch(1).pop() {
         if core.is_stopping() {
             core.stats.drained_on_shutdown();
         }
         serve_connection(core, &mut stream);
+        // As in `shed`: an error answer may leave the request unread.
+        let _ = stream.shutdown(Shutdown::Write);
     }
 }
 

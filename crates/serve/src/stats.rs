@@ -4,12 +4,15 @@
 //! (endpoint, status class), per-endpoint latency summaries, admission
 //! rejection counters, connection tallies, and live gauges for queue
 //! depth and in-flight requests. Pull-model like every other source in
-//! the workspace: `collect` reads the atomics at snapshot time, so the
-//! request path never touches the registry.
+//! the workspace: `collect` reads the atomics, and the dispatch queue
+//! itself, at snapshot time, so the request path never touches the
+//! registry.
 
 use crate::admission::AdmissionController;
 use evorec_obs::{push_summary, Histogram, MetricsSource, Sample};
+use evorec_stream::BoundedLog;
 use sched::sync::atomic::{AtomicU64, Ordering};
+use std::net::TcpStream;
 use std::sync::Arc;
 
 /// The edge's route set (plus a catch-all for 404/405 traffic).
@@ -91,25 +94,26 @@ pub struct ServerStats {
     latency: [Histogram; 7],
     connections_accepted: AtomicU64,
     queue_rejected: AtomicU64,
-    queue_depth: AtomicU64,
-    queue_capacity: u64,
     drained_on_shutdown: AtomicU64,
     admission: Arc<AdmissionController>,
+    queue: Arc<BoundedLog<TcpStream>>,
 }
 
 impl ServerStats {
-    /// A zeroed table reporting `admission`'s counters alongside its
-    /// own.
-    pub fn new(admission: Arc<AdmissionController>, queue_capacity: usize) -> ServerStats {
+    /// A zeroed table reporting `admission`'s counters and the dispatch
+    /// `queue`'s depth and capacity alongside its own.
+    pub fn new(
+        admission: Arc<AdmissionController>,
+        queue: Arc<BoundedLog<TcpStream>>,
+    ) -> ServerStats {
         ServerStats {
             requests: Default::default(),
             latency: std::array::from_fn(|_| Histogram::default()),
             connections_accepted: AtomicU64::new(0),
             queue_rejected: AtomicU64::new(0),
-            queue_depth: AtomicU64::new(0),
-            queue_capacity: queue_capacity as u64,
             drained_on_shutdown: AtomicU64::new(0),
             admission,
+            queue,
         }
     }
 
@@ -134,11 +138,6 @@ impl ServerStats {
     /// One connection refused because the dispatch queue was full.
     pub fn queue_rejected(&self) {
         self.queue_rejected.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Publish the dispatch queue's current depth.
-    pub fn set_queue_depth(&self, depth: usize) {
-        self.queue_depth.store(depth as u64, Ordering::Relaxed);
     }
 
     /// One queued connection served after shutdown began (the drain
@@ -210,11 +209,11 @@ impl MetricsSource for ServerStats {
             );
         }
         out.push(Sample::gauge("evorec_serve_in_flight", admission.in_flight));
+        out.push(Sample::gauge("evorec_serve_queue_depth", self.queue.len() as u64));
         out.push(Sample::gauge(
-            "evorec_serve_queue_depth",
-            self.queue_depth.load(Ordering::Relaxed),
+            "evorec_serve_queue_capacity",
+            self.queue.capacity() as u64,
         ));
-        out.push(Sample::gauge("evorec_serve_queue_capacity", self.queue_capacity));
         out.push(Sample::counter(
             "evorec_serve_drained_total",
             self.drained_on_shutdown.load(Ordering::Relaxed),
@@ -227,16 +226,17 @@ mod tests {
     use super::*;
     use crate::admission::AdmissionOptions;
     use evorec_obs::{LogicalClock, MetricsRegistry};
+    use std::net::TcpListener;
 
-    fn stats() -> Arc<ServerStats> {
+    fn stats(queue: Arc<BoundedLog<TcpStream>>) -> Arc<ServerStats> {
         let admission =
             AdmissionController::new(AdmissionOptions::default(), Arc::new(LogicalClock::new()));
-        Arc::new(ServerStats::new(admission, 64))
+        Arc::new(ServerStats::new(admission, queue))
     }
 
     #[test]
     fn records_by_endpoint_and_class() {
-        let s = stats();
+        let s = stats(Arc::new(BoundedLog::bounded(64)));
         s.record(Endpoint::Recommend, 200, 1_000);
         s.record(Endpoint::Recommend, 200, 2_000);
         s.record(Endpoint::Recommend, 404, 500);
@@ -249,9 +249,16 @@ mod tests {
 
     #[test]
     fn renders_through_the_registry() {
-        let s = stats();
+        let queue = Arc::new(BoundedLog::bounded(64));
+        let s = stats(Arc::clone(&queue));
         s.record(Endpoint::Bulk, 200, 5_000);
-        s.set_queue_depth(3);
+        // Three connections waiting for a worker.
+        let listener = TcpListener::bind("127.0.0.1:0").expect("binds");
+        let addr = listener.local_addr().expect("bound address");
+        for _ in 0..3 {
+            let conn = TcpStream::connect(addr).expect("connects");
+            queue.try_push(conn).expect("queue has room");
+        }
         s.connection_accepted();
         let reg = MetricsRegistry::new();
         reg.register_source(s);

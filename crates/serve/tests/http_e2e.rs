@@ -393,6 +393,55 @@ fn saturated_in_flight_cap_answers_429() {
         .contains("evorec_serve_admission_rejections_total{reason=\"saturated\"} 1"));
 }
 
+/// Overload at the door answers 429, never a transport error. The one
+/// worker is held on a keep-alive connection it has already answered
+/// and the one queue slot is taken, so the next connection is shed —
+/// deterministically, since the acceptor takes connections in order
+/// and the held worker never pops.
+#[test]
+fn full_dispatch_queue_sheds_with_429_at_the_door() {
+    let stack = stack(|o| {
+        o.workers = 1;
+        o.queue_capacity = 1;
+    });
+    let addr = stack.addr();
+    let health = b"GET /health HTTP/1.1\r\nHost: t\r\n\r\n";
+    let mut held = TcpStream::connect(addr).expect("connects");
+    held.set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("timeout");
+    held.write_all(health).expect("writes");
+    assert_eq!(read_keep_alive_reply(&mut held).status, 200);
+
+    let mut queued = TcpStream::connect(addr).expect("connects");
+    queued
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("timeout");
+    queued
+        .write_all(b"GET /health HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n")
+        .expect("writes");
+
+    let shed = call(addr, "GET", "/health", &[], "");
+    assert_eq!(shed.status, 429, "body: {}", shed.body);
+    assert_eq!(shed.header("retry-after"), Some("1"));
+
+    held.write_all(b"GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n")
+        .expect("writes");
+    let metrics = read_keep_alive_reply(&mut held);
+    assert!(
+        metrics
+            .body
+            .contains("evorec_serve_admission_rejections_total{reason=\"queue\"} 1"),
+        "{}",
+        metrics.body
+    );
+
+    // Closing the held connection frees the worker for the queued one.
+    drop(held);
+    let mut raw = Vec::new();
+    queued.read_to_end(&mut raw).expect("queued reply reads");
+    assert_eq!(parse_reply(&raw).status, 200);
+}
+
 #[test]
 fn health_flips_200_503_200_across_queue_saturation() {
     let stack = stack(|_| {});
@@ -457,6 +506,26 @@ fn malformed_requests_get_4xx_never_5xx() {
     assert_eq!(parse_reply(&out).status, 400);
 }
 
+/// A body over the cap is refused unread; the 413 must still read
+/// cleanly to EOF rather than end in a connection reset.
+#[test]
+fn oversized_body_answers_413_readably() {
+    let stack = stack(|_| {});
+    let mut stream = TcpStream::connect(stack.addr()).expect("connects");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("timeout");
+    // Head plus the first 16 KiB of a declared 2 MB body, in one write,
+    // so the edge has bytes left unread when it answers.
+    let mut req =
+        b"POST /v1/recommend HTTP/1.1\r\nHost: t\r\nContent-Length: 2000000\r\n\r\n".to_vec();
+    req.extend(std::iter::repeat_n(b'x', 16 * 1024));
+    stream.write_all(&req).expect("writes");
+    let mut raw = Vec::new();
+    stream.read_to_end(&mut raw).expect("413 reads to EOF");
+    assert_eq!(parse_reply(&raw).status, 413);
+}
+
 #[test]
 fn trace_endpoint_exposes_the_request_span_tree() {
     let stack = stack(|_| {});
@@ -510,6 +579,21 @@ fn metrics_endpoint_carries_edge_series() {
         assert!(reply.body.contains(series), "missing {series} in:\n{}", reply.body);
     }
     let _ = &stack.metrics;
+}
+
+/// `queue_capacity: 0` is clamped to a one-slot queue, and the
+/// capacity gauge must say so: the edge's saturation SLO divides depth
+/// by it.
+#[test]
+fn clamped_queue_capacity_is_what_metrics_report() {
+    let stack = stack(|o| o.queue_capacity = 0);
+    let reply = call(stack.addr(), "GET", "/metrics", &[], "");
+    assert_eq!(reply.status, 200);
+    assert!(
+        reply.body.contains("evorec_serve_queue_capacity 1\n"),
+        "{}",
+        reply.body
+    );
 }
 
 #[test]
@@ -590,4 +674,7 @@ fn graceful_shutdown_drains_and_flushes_feedback() {
     // The port no longer accepts new work.
     let refused = TcpStream::connect_timeout(&addr, Duration::from_millis(500));
     assert!(refused.is_err(), "listener must be gone after shutdown");
+    // Shutdown's wake connection was neither counted nor served.
+    let snapshot = stack.metrics.snapshot();
+    assert_eq!(snapshot.value("evorec_serve_connections_total"), Some(1));
 }

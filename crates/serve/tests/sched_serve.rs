@@ -1,5 +1,6 @@
 //! Interleaving models of the serving edge's concurrency structure:
-//! the acceptor→worker dispatch queue racing shutdown's drain, and
+//! the acceptor→worker dispatch queue (a `BoundedLog` of connections,
+//! modelled here over integers) racing shutdown's drain, and
 //! the admission controller's in-flight accounting under concurrent
 //! admits and releases. Under `--cfg evorec_sched` the `sched`
 //! harness enumerates bounded schedules exhaustively; on a default
@@ -7,7 +8,7 @@
 
 use evorec_obs::LogicalClock;
 use evorec_serve::admission::{AdmissionController, AdmissionDecision, AdmissionOptions};
-use evorec_serve::queue::{BoundedQueue, QueueRejected};
+use evorec_stream::{BoundedLog, TryPushError};
 use std::sync::Arc;
 
 /// Worker-pool dispatch vs shutdown drain: a connection the acceptor
@@ -22,7 +23,7 @@ fn enqueued_connection_is_never_dropped_by_shutdown() {
         ..Default::default()
     };
     let report = builder.explore(|| {
-        let queue = Arc::new(BoundedQueue::<u32>::new(2));
+        let queue = Arc::new(BoundedLog::<u32>::bounded(2));
         let acceptor = {
             let queue = Arc::clone(&queue);
             sched::thread::spawn(move || queue.try_push(7).is_ok())
@@ -35,7 +36,7 @@ fn enqueued_connection_is_never_dropped_by_shutdown() {
             let queue = Arc::clone(&queue);
             sched::thread::spawn(move || {
                 let mut served = Vec::new();
-                while let Some(conn) = queue.pop() {
+                while let Some(conn) = queue.pop_batch(1).pop() {
                     served.push(conn);
                 }
                 served
@@ -49,7 +50,7 @@ fn enqueued_connection_is_never_dropped_by_shutdown() {
         } else {
             assert!(served.is_empty(), "rejected push leaves nothing queued");
         }
-        assert_eq!(queue.pop(), None, "closed + drained = terminal");
+        assert_eq!(queue.pop_batch(1).pop(), None, "closed + drained = terminal");
     });
     assert!(report.schedules >= 1);
     if cfg!(evorec_sched) {
@@ -71,14 +72,14 @@ fn competing_workers_drain_exactly_once_and_terminate() {
         ..Default::default()
     };
     let report = builder.explore(|| {
-        let queue = Arc::new(BoundedQueue::<u32>::new(4));
+        let queue = Arc::new(BoundedLog::<u32>::bounded(4));
         queue.try_push(1).unwrap();
         queue.try_push(2).unwrap();
-        let worker = |queue: &Arc<BoundedQueue<u32>>| {
+        let worker = |queue: &Arc<BoundedLog<u32>>| {
             let queue = Arc::clone(queue);
             sched::thread::spawn(move || {
                 let mut served = Vec::new();
-                while let Some(conn) = queue.pop() {
+                while let Some(conn) = queue.pop_batch(1).pop() {
                     served.push(conn);
                 }
                 served
@@ -155,11 +156,11 @@ fn in_flight_slots_never_leak_under_racing_admits() {
 #[test]
 fn full_queue_hands_the_connection_back_or_queues_it() {
     let report = sched::model(|| {
-        let queue = Arc::new(BoundedQueue::<u32>::new(1));
+        let queue = Arc::new(BoundedLog::<u32>::bounded(1));
         queue.try_push(1).unwrap();
         let worker = {
             let queue = Arc::clone(&queue);
-            sched::thread::spawn(move || queue.pop())
+            sched::thread::spawn(move || queue.pop_batch(1).pop())
         };
         let acceptor = {
             let queue = Arc::clone(&queue);
@@ -170,15 +171,15 @@ fn full_queue_hands_the_connection_back_or_queues_it() {
         assert!(popped.is_some(), "worker always gets an item");
         match pushed {
             Ok(()) => {}
-            Err(QueueRejected::Full(conn)) => assert_eq!(conn, 2, "shed hands the conn back"),
-            Err(QueueRejected::Closed(_)) => panic!("queue was never closed"),
+            Err(TryPushError::Full(conn)) => assert_eq!(conn, 2, "shed hands the conn back"),
+            Err(TryPushError::Closed(_)) => panic!("queue was never closed"),
         }
         // Conservation: items in = items out, nothing vanished.
         let drained = std::iter::from_fn(|| {
             if queue.is_empty() {
                 None
             } else {
-                queue.pop()
+                queue.pop_batch(1).pop()
             }
         })
         .count();

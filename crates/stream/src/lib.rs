@@ -10,7 +10,7 @@
 //! | Stage | Type | Role |
 //! |-------|------|------|
 //! | events | [`ChangeEvent`] | triple-level assert/retract with actor provenance |
-//! | queue | [`EventLog`] | bounded MPSC with blocking backpressure |
+//! | queue | [`EventLog`] | a bounded [`BoundedLog`] with blocking backpressure; several consumers may pop |
 //! | batching | [`Ingestor`] | last-event-wins overlay → normalised [`LowLevelDelta`] → epoch commit + provenance record |
 //! | serving | [`LiveContext`] | atomic `Arc` swap of freshly built contexts; pre-warms reports into the `ReportCache`, invalidates superseded fingerprints |
 //! | glue | [`StreamPipeline`] | the worker thread wiring the four together |

@@ -1,17 +1,21 @@
 //! The bounded, multi-producer log feeding stream consumers.
 //!
-//! A classic bounded MPSC queue built on `sched::sync::{Mutex, Condvar}`
+//! A classic bounded queue built on `sched::sync::{Mutex, Condvar}`
 //! (plain `std` primitives normally; deterministic scheduling points
 //! under the `cfg(evorec_sched)` race harness — see `crates/shims/sched`):
 //! producers [`push`](BoundedLog::push) and *block* when the log is full
 //! (backpressure — a slow consumer throttles its sources instead of the
-//! log growing without bound), the consumer drains micro-batches with
-//! [`pop_batch`](BoundedLog::pop_batch). Closing the log wakes everyone:
-//! pushes start failing, pops drain what is left and then return empty.
+//! log growing without bound), or [`try_push`](BoundedLog::try_push) and
+//! get the entry back; consumers drain micro-batches with
+//! [`pop_batch`](BoundedLog::pop_batch). Several consumers may pop at
+//! once — each entry goes to exactly one of them. Closing the log wakes
+//! everyone: pushes start failing, pops drain what is left and then
+//! return empty.
 //!
 //! The queue is generic over its payload: [`EventLog`] (over
 //! [`ChangeEvent`]) feeds the ingestor; the online adaptation subsystem
-//! reuses the same [`BoundedLog`] for its curator-feedback stream.
+//! reuses the same [`BoundedLog`] for its curator-feedback stream, and
+//! the serving edge for the connections its workers pop.
 
 use crate::event::ChangeEvent;
 use sched::sync::{Condvar, Mutex, MutexGuard};
@@ -73,7 +77,8 @@ struct LogState<T> {
     stats: LogStats,
 }
 
-/// A bounded, thread-safe, multi-producer single-consumer queue.
+/// A bounded, thread-safe, multi-producer queue; several consumers
+/// may pop, as the serving edge's workers do.
 pub struct BoundedLog<T> {
     state: Mutex<LogState<T>>,
     capacity: usize,

@@ -17,7 +17,7 @@
 //!    shared-tenant token bucket; the generator hammers it and expects
 //!    admission-controlled 429s with `Retry-After`, and **zero 5xx**.
 //!
-//! Prints a per-endpooint latency/status table (p50/p99/throughput)
+//! Prints a per-endpoint latency/status table (p50/p99/throughput)
 //! and one machine-readable JSON summary line, then exits non-zero if
 //! any 5xx was observed or the overload phase produced no 429s.
 //!

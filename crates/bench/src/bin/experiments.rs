@@ -1,4 +1,4 @@
-//! Regenerate the EXPERIMENTS.md tables.
+//! Print the E1–E12 experiment tables as markdown.
 //!
 //! Usage:
 //! ```text
@@ -23,7 +23,7 @@ fn main() {
         }
     }
     if ran == 0 {
-        eprintln!("no experiment matched {requested:?}; known: e1..e10 or 'all'");
+        eprintln!("no experiment matched {requested:?}; known: e1..e12 or 'all'");
         std::process::exit(2);
     }
     eprintln!("ran {ran} experiment(s) in {:.2}s", started.elapsed().as_secs_f64());

@@ -1,9 +1,9 @@
-//! The E1–E10 experiment suite.
+//! The E1–E12 experiment suite.
 //!
-//! Each function regenerates one table/figure of EXPERIMENTS.md; the
-//! paper (a vision paper) has no tables or figures of its own, so every
-//! experiment is pinned to a sentence-level claim instead — see
-//! DESIGN.md §4 for the index. All experiments are deterministic.
+//! Each function builds one markdown table; the paper (a vision paper)
+//! has no tables or figures of its own, so every experiment is pinned
+//! to a sentence-level claim instead — see the crate docs for the
+//! index. All experiments are deterministic.
 
 use crate::table::{f1, f3, ms, pct, Table};
 use evorec_core::{

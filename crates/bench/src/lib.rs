@@ -1,8 +1,8 @@
 //! # evorec-bench — the experiment harness
 //!
-//! Regenerates every table/figure of EXPERIMENTS.md. The paper is a
-//! vision paper without an evaluation section, so each experiment
-//! operationalises a sentence-level claim (see DESIGN.md §4):
+//! Prints one markdown table per experiment. The paper is a vision
+//! paper without an evaluation section, so each experiment
+//! operationalises a sentence-level claim:
 //!
 //! | Id | Claim | Generator |
 //! |----|-------|-----------|
@@ -16,6 +16,8 @@
 //! | E8 | anonymity/utility trade-off | [`experiments::e8`] |
 //! | E9 | transparency + archiving overheads | [`experiments::e9`] |
 //! | E10 | neighbourhood radius ablation | [`experiments::e10`] |
+//! | E11 | the feedback loop converges | [`experiments::e11`] |
+//! | E12 | timelines surface change trends | [`experiments::e12`] |
 //!
 //! Run all of them with `cargo run -p evorec-bench --bin experiments
 //! --release`, or a subset: `… --bin experiments e4 e8`.

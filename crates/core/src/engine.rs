@@ -2,7 +2,7 @@
 //! / fairness selection, plus the amortised serving layer (report cache
 //! + batch fan-out) that answers many requests against one context.
 
-use crate::cache::{CacheStats, DerivedArtefacts, ReportCache};
+use crate::cache::{DerivedArtefacts, ReportCache};
 use crate::diversity::{select_mmr, swap_refine, DistanceMatrix, DistanceWeights};
 use crate::fairness::{
     fairness_report, select_for_group, FairnessReport, GroupAggregation, RelevanceMatrix,
@@ -65,9 +65,6 @@ pub struct Recommendation {
     pub items: Vec<ScoredItem>,
     /// Size of the candidate pool the selection was drawn from.
     pub candidates_considered: usize,
-    /// Cumulative report-cache counters at the time this answer was
-    /// produced (`None` when the recommender runs uncached).
-    pub cache_stats: Option<CacheStats>,
 }
 
 /// A group recommendation with fairness diagnostics.
@@ -82,9 +79,6 @@ pub struct GroupRecommendation {
     pub strategy: GroupAggregation,
     /// Size of the candidate pool.
     pub candidates_considered: usize,
-    /// Cumulative report-cache counters at the time this answer was
-    /// produced (`None` when the recommender runs uncached).
-    pub cache_stats: Option<CacheStats>,
 }
 
 /// A hook adjusting a candidate's effective relevance just before MMR
@@ -156,11 +150,6 @@ impl Recommender {
     /// The attached report cache, if any.
     pub fn cache(&self) -> Option<&Arc<ReportCache>> {
         self.cache.as_ref()
-    }
-
-    /// Current cache counters, for response diagnostics.
-    fn cache_snapshot(&self) -> Option<CacheStats> {
-        self.cache.as_ref().map(|c| c.stats())
     }
 
     /// Raw measure reports over `ctx`, in registration order — served
@@ -327,7 +316,6 @@ impl Recommender {
         Recommendation {
             items: scored,
             candidates_considered: items.len(),
-            cache_stats: self.cache_snapshot(),
         }
     }
 
@@ -358,7 +346,6 @@ impl Recommender {
             return Recommendation {
                 items: Vec::new(),
                 candidates_considered: 0,
-                cache_stats: self.cache_snapshot(),
             };
         }
         let mmr = span(tracer, "mmr_boost", parent);
@@ -461,7 +448,6 @@ impl Recommender {
                 fairness: fairness_report(&RelevanceMatrix::new(vec![]), &[]),
                 strategy: self.config.group_aggregation,
                 candidates_considered: items.len(),
-                cache_stats: self.cache_snapshot(),
             };
         }
         let rows = self.effective_rows(ctx, profiles, items, threads);
@@ -487,7 +473,6 @@ impl Recommender {
             fairness,
             strategy: self.config.group_aggregation,
             candidates_considered: items.len(),
-            cache_stats: self.cache_snapshot(),
         }
     }
 
@@ -593,7 +578,6 @@ impl BatchRecommender<'_> {
                 .map(|_| Recommendation {
                     items: Vec::new(),
                     candidates_considered: 0,
-                    cache_stats: r.cache_snapshot(),
                 })
                 .collect();
         }
@@ -840,7 +824,6 @@ mod tests {
         );
         let profile = UserProfile::new(UserId(1), "a").with_interest(w.leaf_a, 1.0);
         let baseline = uncached.recommend(&w.ctx, &profile);
-        assert!(baseline.cache_stats.is_none());
         let cold = cached.recommend(&w.ctx, &profile);
         let warm = cached.recommend(&w.ctx, &profile);
         let keys = |rec: &Recommendation| {
@@ -851,10 +834,10 @@ mod tests {
         };
         assert_eq!(keys(&baseline), keys(&cold));
         assert_eq!(keys(&baseline), keys(&warm));
-        // Diagnostics show the second request was fully served warm: it
+        // The counters show the second request was fully served warm: it
         // short-circuits at the derived level, never re-reading the
         // report level, let alone recomputing a measure.
-        let stats = warm.cache_stats.expect("cached run reports stats");
+        let stats = cache.stats();
         let catalogue = cached.registry().len() as u64;
         assert_eq!(stats.misses, catalogue, "only the cold pass missed");
         assert_eq!(stats.derived_misses, 1, "only the cold pass derived");

@@ -60,7 +60,7 @@ fn snapshot_never_sees_a_half_credited_hit() {
 
     let builder = bounded();
     let report_handle = builder.explore(move || {
-        let cache = Arc::new(ReportCache::with_shards_and_capacity(1, 8));
+        let cache = Arc::new(ReportCache::with_capacity(8));
         let a = cache.register_lineage("window:a");
         let b = cache.register_lineage("window:b");
         cache.claim_lineage(a, fingerprint);
@@ -123,7 +123,7 @@ fn snapshot_never_tears_a_lineage_publish() {
 
     let builder = bounded();
     let report_handle = builder.explore(move || {
-        let cache = Arc::new(ReportCache::with_shards_and_capacity(1, 8));
+        let cache = Arc::new(ReportCache::with_capacity(8));
         let lineage = cache.register_lineage("window:a");
         cache.claim_lineage(lineage, fingerprint);
         cache.insert(fingerprint, report.clone());

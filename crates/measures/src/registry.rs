@@ -170,47 +170,6 @@ impl MeasureRegistry {
         done.sort_unstable_by_key(|&(slot, _)| slot);
         done.into_iter().map(|(_, report)| report).collect()
     }
-
-    /// Advance every report from a previous evolution window to `ctx`
-    /// using the measures' incremental hooks where available
-    /// ([`EvolutionMeasure::update`]) and full recomputation otherwise.
-    ///
-    /// `previous` must hold one report per registered measure, in
-    /// registration order, evaluated over a context sharing `ctx.from`;
-    /// `extension` is the delta between that context's head and `ctx`'s
-    /// head (see the [`update`](EvolutionMeasure::update) contract).
-    ///
-    /// # Panics
-    /// Panics if `previous.len() != self.len()`, or if a report's
-    /// measure id does not match the measure at its position (a
-    /// misordered slice would silently seed one measure's update with
-    /// another's scores).
-    pub fn update_all(
-        &self,
-        ctx: &EvolutionContext,
-        extension: &evorec_versioning::LowLevelDelta,
-        previous: &[MeasureReport],
-    ) -> Vec<MeasureReport> {
-        assert_eq!(
-            previous.len(),
-            self.len(),
-            "update_all needs one previous report per measure"
-        );
-        self.measures
-            .iter()
-            .zip(previous)
-            .map(|(measure, prev)| {
-                assert_eq!(
-                    prev.measure,
-                    measure.id(),
-                    "update_all needs previous reports in registration order"
-                );
-                measure
-                    .update(prev, ctx, extension)
-                    .unwrap_or_else(|| measure.compute(ctx))
-            })
-            .collect()
-    }
 }
 
 /// Union-graph node count below which [`MeasureRegistry::compute_all`]
@@ -376,46 +335,6 @@ mod tests {
         let subset = registry.compute_indexed(&ctx, &[4, 0]);
         assert_eq!(subset[0].measure, registry.all()[4].id());
         assert_eq!(subset[1].measure, registry.all()[0].id());
-    }
-
-    #[test]
-    fn update_all_matches_full_recompute() {
-        let mut vs = VersionedStore::new();
-        let a = vs.intern_iri("http://x/A");
-        let b = vs.intern_iri("http://x/B");
-        let c = vs.intern_iri("http://x/C");
-        let v = *vs.vocab();
-        let mut s0 = TripleStore::new();
-        s0.insert(Triple::new(a, v.rdfs_subclassof, b));
-        let v0 = vs.commit_snapshot("v0", s0.clone());
-        let mut s1 = s0;
-        s1.insert(Triple::new(c, v.rdfs_subclassof, b));
-        let v1 = vs.commit_snapshot("v1", s1.clone());
-        let mut s2 = s1;
-        let i = vs.intern_iri("http://x/i");
-        s2.insert(Triple::new(i, v.rdf_type, c));
-        let v2 = vs.commit_snapshot("v2", s2);
-
-        let registry = MeasureRegistry::standard();
-        let prev_ctx = EvolutionContext::build(&vs, v0, v1);
-        let next_ctx = EvolutionContext::build(&vs, v0, v2);
-        let previous = registry.compute_all(&prev_ctx);
-        let extension = vs.delta(v1, v2);
-        let updated = registry.update_all(&next_ctx, &extension, &previous);
-        let recomputed = registry.compute_all(&next_ctx);
-        assert_eq!(updated.len(), recomputed.len());
-        for (u, r) in updated.iter().zip(&recomputed) {
-            assert_eq!(u.measure, r.measure);
-            assert_eq!(u.scores(), r.scores(), "{}", u.measure);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "one previous report per measure")]
-    fn update_all_rejects_mismatched_previous() {
-        let registry = MeasureRegistry::standard();
-        let ctx = tiny_ctx();
-        let _ = registry.update_all(&ctx, &evorec_versioning::LowLevelDelta::new(), &[]);
     }
 
     #[test]

@@ -131,7 +131,9 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::source::FixedSource;
     use crate::MetricsRegistry;
+    use std::sync::Arc;
 
     fn snap_of(samples: Vec<Sample>) -> MetricsSnapshot {
         MetricsSnapshot { samples }
@@ -218,13 +220,16 @@ mod tests {
     #[test]
     fn registry_snapshots_roundtrip_through_diff() {
         let reg = MetricsRegistry::new();
-        let c = reg.counter("evorec_events_total");
-        let g = reg.gauge("evorec_live");
-        c.add(5);
-        g.set(2);
+        let source = Arc::new(FixedSource::new(vec![
+            Sample::counter("evorec_events_total", 5),
+            Sample::gauge("evorec_live", 2),
+        ]));
+        reg.register_source(Arc::clone(&source) as Arc<dyn crate::MetricsSource>);
         let old = reg.snapshot();
-        c.add(7);
-        g.set(1);
+        source.set(vec![
+            Sample::counter("evorec_events_total", 12),
+            Sample::gauge("evorec_live", 1),
+        ]);
         let new = reg.snapshot();
         let diff = new.diff(&old);
         assert_eq!(diff.deltas.len(), 2);

@@ -5,11 +5,11 @@
 //! publish tallies — with no common registry, no latency distributions,
 //! and no export format. This crate is the one place they all meet:
 //!
-//! * [`MetricsRegistry`] — a sharded, name-keyed registry of atomic
-//!   [`Counter`]s, [`Gauge`]s, and log-bucketed [`Histogram`]s
-//!   (p50/p90/p99/max out of a fixed bucket array, lock-free record
-//!   path). Existing stats structs plug in through [`MetricsSource`]
-//!   without changing how they count.
+//! * [`MetricsRegistry`] — the list of [`MetricsSource`]s, sampled at
+//!   scrape time: existing stats structs plug in without changing how
+//!   they count. Latency distributions are log-bucketed
+//!   [`Histogram`]s (p50/p90/p99/max out of a fixed bucket array,
+//!   lock-free record path) owned by the sources that record them.
 //! * [`Tracer`] — span-based timing with *explicit* parent handles (no
 //!   thread-local magic), producing per-request breakdowns across
 //!   ingest → epoch commit → window advance → cache probe → measure
@@ -54,8 +54,8 @@ mod trace;
 pub use clock::{Clock, LogicalClock, MonotonicClock};
 pub use diff::{CounterRegression, SeriesDelta, SnapshotDiff};
 pub use metrics::{
-    bucket_bounds, bucket_index, push_summary, Counter, Gauge, Histogram, HistogramSnapshot,
-    MetricsRegistry, HISTOGRAM_BUCKETS,
+    bucket_bounds, bucket_index, push_summary, Histogram, HistogramSnapshot, MetricsRegistry,
+    HISTOGRAM_BUCKETS,
 };
 pub use render::{trace_json, trace_tree};
 pub use source::{MetricsSnapshot, MetricsSource, Sample, SampleKind, SampleValue};

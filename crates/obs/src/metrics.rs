@@ -1,26 +1,17 @@
-//! The sharded metrics registry: atomic counters, gauges, and
-//! log-bucketed histograms.
+//! The metrics registry — the list of pull-time [`MetricsSource`]s —
+//! and the log-bucketed [`Histogram`] the sources record into.
 //!
-//! Handles are `Arc`s handed out once at registration; the record path
-//! (`Counter::inc`, `Histogram::record`, …) touches only its own
-//! atomics — never the registry locks — so instrumented hot paths pay
-//! a handful of uncontended atomic RMWs and nothing else. The registry
-//! itself is only on the path of registration (startup) and snapshot
-//! (scrape), both cold.
-//!
-//! Shard maps are `BTreeMap`s: snapshot iteration is deterministic by
-//! construction, so exposition output is stable without a cleansing
-//! sort over hash-ordered entries.
+//! Every series is read from its owner at scrape time: subsystems keep
+//! their own counters and histograms, and the registry only remembers
+//! whom to ask. Its one lock is taken to register a source (startup)
+//! and to snapshot (scrape), both cold; `Histogram::record` touches only
+//! the histogram's own atomics, so instrumented hot paths pay a handful
+//! of uncontended atomic RMWs and nothing else.
 
 use crate::source::{MetricsSnapshot, MetricsSource, Sample};
 use sched::sync::atomic::{AtomicU64, Ordering};
 use sched::sync::RwLock;
-use std::collections::BTreeMap;
 use std::sync::Arc;
-
-/// Number of registry shards (name-hash striped; registration-path
-/// contention only, the record path never touches them).
-const SHARDS: usize = 8;
 
 /// Total histogram buckets: 16 exact small-value buckets plus 4
 /// sub-buckets per power of two up to `u64::MAX` (16 + 60×4 = 256).
@@ -28,71 +19,6 @@ pub const HISTOGRAM_BUCKETS: usize = 256;
 
 /// Values below this index exactly (one bucket per integer).
 const EXACT_LIMIT: u64 = 16;
-
-/// A monotonic event count.
-#[derive(Debug, Default)]
-pub struct Counter {
-    value: AtomicU64,
-}
-
-impl Counter {
-    /// A counter at zero.
-    pub fn new() -> Counter {
-        Counter::default()
-    }
-
-    /// Add one.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Add `n`.
-    pub fn add(&self, n: u64) {
-        // Independent tallies, read individually at scrape time: no
-        // cross-field ordering to publish.
-        self.value.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current total.
-    pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
-    }
-}
-
-/// A point-in-time level (queue depth, live epoch, resident entries).
-#[derive(Debug, Default)]
-pub struct Gauge {
-    value: AtomicU64,
-}
-
-impl Gauge {
-    /// A gauge at zero.
-    pub fn new() -> Gauge {
-        Gauge::default()
-    }
-
-    /// Overwrite the level.
-    pub fn set(&self, v: u64) {
-        self.value.store(v, Ordering::Relaxed);
-    }
-
-    /// Raise the level by `n`.
-    pub fn add(&self, n: u64) {
-        self.value.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Lower the level by `n` (saturating at zero would require a CAS
-    /// loop; levels in this workspace are balanced add/sub pairs, so
-    /// wrapping semantics are documented rather than defended).
-    pub fn sub(&self, n: u64) {
-        self.value.fetch_sub(n, Ordering::Relaxed);
-    }
-
-    /// Current level.
-    pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
-    }
-}
 
 /// The bucket a value lands in.
 ///
@@ -255,32 +181,11 @@ impl HistogramSnapshot {
     }
 }
 
-/// A named metric handle held by a registry shard.
-#[derive(Clone)]
-enum Metric {
-    Counter(Arc<Counter>),
-    Gauge(Arc<Gauge>),
-    Histogram(Arc<Histogram>),
-}
-
-/// One registry shard: a name-keyed, deterministically ordered map.
-#[derive(Default)]
-struct Shard {
-    metrics: RwLock<BTreeMap<String, Metric>>,
-}
-
-/// The sharded metric registry plus pluggable pull-time sources.
-///
-/// Two populations feed a [`snapshot`](MetricsRegistry::snapshot):
-///
-/// * **native metrics** — counters/gauges/histograms registered by
-///   name, recorded into continuously;
-/// * **sources** — existing stats structs ([`MetricsSource`]
-///   implementors) sampled at scrape time, so subsystems keep their
-///   own counters and the registry adapts rather than replaces them.
+/// The registry every stats-bearing subsystem plugs into: a list of
+/// [`MetricsSource`]s sampled at scrape time, so subsystems keep their
+/// own counters and the registry adapts rather than replaces them.
 #[derive(Default)]
 pub struct MetricsRegistry {
-    shards: [Shard; SHARDS],
     sources: RwLock<Vec<Arc<dyn MetricsSource>>>,
 }
 
@@ -290,80 +195,15 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    fn shard(&self, name: &str) -> &Shard {
-        // FNV-1a over the name: deterministic, allocation-free.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in name.as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        &self.shards[(h % SHARDS as u64) as usize]
-    }
-
-    /// The counter registered under `name`, creating it on first use.
-    ///
-    /// If `name` is already registered as a different kind the caller
-    /// gets a fresh detached handle (recorded values are visible to it
-    /// but not to snapshots) — a deliberate no-panic degradation, since
-    /// registration runs on serving setup paths.
-    pub fn counter(&self, name: &str) -> Arc<Counter> {
-        match self.register(name, || Metric::Counter(Arc::new(Counter::new()))) {
-            Metric::Counter(c) => c,
-            _ => Arc::new(Counter::new()),
-        }
-    }
-
-    /// The gauge registered under `name`, creating it on first use
-    /// (kind-mismatch behaviour as for [`counter`](Self::counter)).
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        match self.register(name, || Metric::Gauge(Arc::new(Gauge::new()))) {
-            Metric::Gauge(g) => g,
-            _ => Arc::new(Gauge::new()),
-        }
-    }
-
-    /// The histogram registered under `name`, creating it on first use
-    /// (kind-mismatch behaviour as for [`counter`](Self::counter)).
-    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        match self.register(name, || Metric::Histogram(Arc::new(Histogram::new()))) {
-            Metric::Histogram(h) => h,
-            _ => Arc::new(Histogram::new()),
-        }
-    }
-
-    fn register(&self, name: &str, make: impl FnOnce() -> Metric) -> Metric {
-        let shard = self.shard(name);
-        if let Some(m) = shard.metrics.read().get(name) {
-            return m.clone();
-        }
-        let mut map = shard.metrics.write();
-        map.entry(name.to_string()).or_insert_with(make).clone()
-    }
-
     /// Attach a pull-time source, sampled on every snapshot.
     pub fn register_source(&self, source: Arc<dyn MetricsSource>) {
         self.sources.write().push(source);
     }
 
-    /// Sample everything — native metrics and registered sources —
-    /// into one deterministic, name-sorted snapshot.
+    /// Sample every registered source into one deterministic,
+    /// name-sorted snapshot.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut samples = Vec::new();
-        for shard in &self.shards {
-            for (name, metric) in shard.metrics.read().iter() {
-                match metric {
-                    Metric::Counter(c) => {
-                        samples.push(Sample::counter(name, c.get()));
-                    }
-                    Metric::Gauge(g) => {
-                        samples.push(Sample::gauge(name, g.get()));
-                    }
-                    Metric::Histogram(h) => {
-                        push_summary(&mut samples, name, &[], &h.snapshot());
-                    }
-                }
-            }
-        }
         for source in self.sources.read().iter() {
             source.collect(&mut samples);
         }
@@ -374,9 +214,6 @@ impl MetricsRegistry {
     }
 }
 
-/// Expand a histogram snapshot into Prometheus-summary-shaped samples
-/// (`{quantile=…}`, `_sum`, `_count`, `_max`) under `family`, tagged
-/// with `labels`.
 /// Flatten one histogram snapshot into the six summary samples of the
 /// exposition format (`quantile="0.5|0.9|0.99"`, `_sum`, `_count`,
 /// `_max`), each carrying `labels` — the helper every
@@ -408,6 +245,7 @@ pub fn push_summary(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::source::FixedSource;
 
     #[test]
     fn exact_buckets_below_sixteen() {
@@ -456,39 +294,6 @@ mod tests {
     }
 
     #[test]
-    fn counter_and_gauge_roundtrip() {
-        let reg = MetricsRegistry::new();
-        let c = reg.counter("evorec_test_events_total");
-        c.inc();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-        let g = reg.gauge("evorec_test_depth");
-        g.set(7);
-        g.add(3);
-        g.sub(2);
-        assert_eq!(g.get(), 8);
-        // Same name, same handle.
-        assert_eq!(reg.counter("evorec_test_events_total").get(), 5);
-    }
-
-    #[test]
-    fn kind_mismatch_degrades_to_detached_handle() {
-        let reg = MetricsRegistry::new();
-        reg.counter("evorec_test_x").inc();
-        let g = reg.gauge("evorec_test_x");
-        g.set(99);
-        // Snapshot still sees the original counter, not the detached gauge.
-        let snap = reg.snapshot();
-        let vals: Vec<u64> = snap
-            .samples
-            .iter()
-            .filter(|s| s.family == "evorec_test_x")
-            .map(|s| s.value.as_u64())
-            .collect();
-        assert_eq!(vals, vec![1]);
-    }
-
-    #[test]
     fn histogram_quantiles_over_known_data() {
         let h = Histogram::new();
         for v in 1..=100u64 {
@@ -508,9 +313,14 @@ mod tests {
     #[test]
     fn snapshot_is_name_sorted_and_deterministic() {
         let reg = MetricsRegistry::new();
-        reg.counter("evorec_b_total").inc();
-        reg.counter("evorec_a_total").inc();
-        reg.histogram("evorec_c_nanos").record(5);
+        let h = Histogram::new();
+        h.record(5);
+        let mut samples = vec![
+            Sample::counter("evorec_b_total", 1),
+            Sample::counter("evorec_a_total", 1),
+        ];
+        push_summary(&mut samples, "evorec_c_nanos", &[], &h.snapshot());
+        reg.register_source(Arc::new(FixedSource::new(samples)));
         let a = reg.snapshot();
         let b = reg.snapshot();
         let names: Vec<String> = a.samples.iter().map(|s| s.full_name()).collect();

@@ -164,7 +164,10 @@ pub(crate) fn escape_label(value: &str, out: &mut String) {
     }
 }
 
-fn escape_json(value: &str, out: &mut String) {
+/// Append `value` to `out` with JSON string escaping (no quotes): the
+/// workspace's one JSON string escaper, shared by every hand-rolled
+/// JSON encoder.
+pub fn escape_json(value: &str, out: &mut String) {
     for c in value.chars() {
         match c {
             '\\' => out.push_str("\\\\"),
@@ -183,15 +186,21 @@ fn escape_json(value: &str, out: &mut String) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{MetricsRegistry, SpanHandle, Tracer};
+    use crate::source::FixedSource;
+    use crate::{push_summary, Histogram, MetricsRegistry, SpanHandle, Tracer};
     use std::sync::Arc;
 
     #[test]
     fn prometheus_families_and_labels() {
         let reg = MetricsRegistry::new();
-        reg.counter("evorec_cache_hits_total").add(3);
-        reg.gauge("evorec_live_epoch").set(7);
-        reg.histogram("evorec_serve_nanos").record(100);
+        let h = Histogram::new();
+        h.record(100);
+        let mut samples = vec![
+            Sample::counter("evorec_cache_hits_total", 3),
+            Sample::gauge("evorec_live_epoch", 7),
+        ];
+        push_summary(&mut samples, "evorec_serve_nanos", &[], &h.snapshot());
+        reg.register_source(Arc::new(FixedSource::new(samples)));
         let text = reg.snapshot().render_prometheus();
         assert!(text.contains("# TYPE evorec_cache_hits_total counter"));
         assert!(text.contains("evorec_cache_hits_total 3"));
@@ -207,7 +216,10 @@ mod tests {
     #[test]
     fn json_is_integral_for_counters() {
         let reg = MetricsRegistry::new();
-        reg.counter("evorec_x_total").add(41);
+        reg.register_source(Arc::new(FixedSource::new(vec![Sample::counter(
+            "evorec_x_total",
+            41,
+        )])));
         let json = reg.snapshot().render_json();
         assert_eq!(json, "{\"metrics\":[{\"name\":\"evorec_x_total\",\"value\":41}]}");
     }

@@ -2,8 +2,8 @@
 //!
 //! A [`Sample`] is one exposition line: a metric family, an optional
 //! family suffix (`_sum`, `_count`, …), a label set, and a value.
-//! Native registry metrics and pull-time sources both flatten into
-//! samples, so the renderers have exactly one input shape.
+//! Every pull-time source flattens into samples, so the renderers have
+//! exactly one input shape.
 
 use std::fmt::Write as _;
 
@@ -207,6 +207,29 @@ pub trait MetricsSource: Send + Sync {
     /// key-sorted or order-stable; family names follow the
     /// `evorec_<subsystem>_<noun>[_<unit>][_total]` grammar.
     fn collect(&self, out: &mut Vec<Sample>);
+}
+
+/// A source reporting whatever samples it was last given — the
+/// registry's test double.
+#[cfg(test)]
+pub(crate) struct FixedSource(sched::sync::Mutex<Vec<Sample>>);
+
+#[cfg(test)]
+impl FixedSource {
+    pub(crate) fn new(samples: Vec<Sample>) -> FixedSource {
+        FixedSource(sched::sync::Mutex::new(samples))
+    }
+
+    pub(crate) fn set(&self, samples: Vec<Sample>) {
+        *self.0.lock() = samples;
+    }
+}
+
+#[cfg(test)]
+impl MetricsSource for FixedSource {
+    fn collect(&self, out: &mut Vec<Sample>) {
+        out.extend(self.0.lock().iter().cloned());
+    }
 }
 
 /// A deterministic, name-sorted point-in-time sample set.

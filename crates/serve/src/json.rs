@@ -354,27 +354,10 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// Append `value` to `out` with JSON string escaping (no quotes).
-pub fn escape_into(value: &str, out: &mut String) {
-    for c in value.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
 /// Append a quoted, escaped string literal.
 pub fn push_str_lit(value: &str, out: &mut String) {
     out.push('"');
-    escape_into(value, out);
+    evorec_obs::render::escape_json(value, out);
     out.push('"');
 }
 

@@ -372,7 +372,6 @@ mod tests {
                 objective: 0.7654321,
             }],
             candidates_considered: 41,
-            cache_stats: None,
         };
         let mut body = String::new();
         encode_recommendation(UserId(5), "w", &rec, &mut body);

@@ -22,7 +22,11 @@ use std::sync::Arc;
 pub struct IngestorConfig {
     /// Target events per epoch; [`StreamPipeline`](crate::StreamPipeline)
     /// commits once this many are pending (a drained event log also
-    /// triggers a commit, so quiet streams still make progress).
+    /// triggers a commit, so quiet streams still make progress). The
+    /// pipeline drains at most this many events per pop and checks
+    /// after each pop, so one epoch holds at most `2·max_batch − 1`
+    /// events, and a stream of `2·max_batch` or more commits at least
+    /// two epochs.
     pub max_batch: usize,
     /// Prefix of generated version labels (`"<prefix>-<n>"`).
     pub label_prefix: String,

@@ -1,8 +1,8 @@
 //! # evorec-synth — synthetic workload generation
 //!
 //! Deterministic stand-ins for the evolving knowledge bases (DBpedia,
-//! Freebase, YAGO) and human populations the paper motivates with; see
-//! DESIGN.md §2 for the substitution argument. Provides:
+//! Freebase, YAGO) and human populations the paper motivates with.
+//! Provides:
 //!
 //! - [`GeneratedKb`] / [`SchemaConfig`] — preferential-attachment class
 //!   trees, domain/range-typed properties, Zipf-skewed instance extents;

@@ -1,8 +1,7 @@
 //! Synthetic knowledge-base generation.
 //!
 //! Stands in for the DBpedia/Freebase/YAGO dumps the paper motivates
-//! with (see DESIGN.md §2 for the substitution argument): a subclass
-//! *tree* grown by preferential attachment (scale-free-ish degrees, like
+//! with: a subclass *tree* grown by preferential attachment (scale-free-ish degrees, like
 //! real ontologies), cross-hierarchy object properties with declared
 //! domains/ranges, Zipf-skewed instance extents, and instance-level
 //! property links.

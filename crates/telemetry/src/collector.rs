@@ -25,8 +25,9 @@
 //! never holds two locks at once.
 
 use crate::health::{HealthEngine, HealthReport, HealthTransition, SloRule};
-use crate::recorder::{escaped, FlightEvent, FlightRecorder};
+use crate::recorder::{FlightEvent, FlightRecorder};
 use crate::tsdb::{RawPoint, Rollup, SeriesStore, TsdbConfig};
+use evorec_obs::render::escape_json;
 use evorec_obs::{Clock, MetricsRegistry, MetricsSnapshot, MetricsSource, Sample, Tracer};
 use sched::sync::{Condvar, Mutex};
 use std::fmt::Write as _;
@@ -371,7 +372,9 @@ impl TelemetryCollector {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "\"{}\":[", escaped(key));
+            out.push('"');
+            escape_json(key, &mut out);
+            out.push_str("\":[");
             for (j, point) in buf.raw_points().iter().enumerate() {
                 if j > 0 {
                     out.push(',');

@@ -320,6 +320,7 @@ impl HealthReport {
     /// `BTreeMap`); both the collector's diagnostic bundle and the
     /// HTTP edge's `/health` endpoint serve exactly this rendering.
     pub fn render_json(&self) -> String {
+        use evorec_obs::render::escape_json;
         use std::fmt::Write as _;
         let mut out = String::from("{");
         let _ = write!(out, "\"overall\":\"{}\"", self.overall().label());
@@ -328,17 +329,20 @@ impl HealthReport {
             if i > 0 {
                 out.push(',');
             }
+            out.push('"');
+            escape_json(component, &mut out);
             let _ = write!(
                 out,
-                "\"{}\":{{\"status\":\"{}\",\"reasons\":[",
-                crate::recorder::escaped(component),
-                health.status.label(),
+                "\":{{\"status\":\"{}\",\"reasons\":[",
+                health.status.label()
             );
             for (j, reason) in health.reasons.iter().enumerate() {
                 if j > 0 {
                     out.push(',');
                 }
-                let _ = write!(out, "\"{}\"", crate::recorder::escaped(reason));
+                out.push('"');
+                escape_json(reason, &mut out);
+                out.push('"');
             }
             out.push_str("]}");
         }

@@ -14,6 +14,7 @@
 //! byte-deterministic for a given recorder state.
 
 use crate::health::HealthStatus;
+use evorec_obs::render::escape_json;
 use evorec_obs::FinishedSpan;
 use sched::sync::Mutex;
 use std::collections::VecDeque;
@@ -195,16 +196,14 @@ impl FlightRecorder {
                 if j > 0 {
                     out.push(',');
                 }
+                // Span names are static workspace identifiers; escape
+                // anyway for robustness.
+                out.push_str("{\"name\":\"");
+                escape_json(span.name, &mut out);
                 let _ = write!(
                     out,
-                    "{{\"name\":\"{}\",\"id\":{},\"parent\":{},\"start\":{},\"end\":{}}}",
-                    // Span names are static workspace identifiers;
-                    // escape anyway for robustness.
-                    escaped(span.name),
-                    span.id,
-                    span.parent,
-                    span.start_nanos,
-                    span.end_nanos,
+                    "\",\"id\":{},\"parent\":{},\"start\":{},\"end\":{}}}",
+                    span.id, span.parent, span.start_nanos, span.end_nanos,
                 );
             }
             out.push(']');
@@ -256,9 +255,12 @@ fn render_event(event: &FlightEvent, out: &mut String) {
         } => {
             let _ = write!(
                 out,
-                "{{\"kind\":\"transition\",\"at\":{at_nanos},\"component\":\"{}\",\
-                 \"from\":\"{}\",\"to\":\"{}\",\"reasons\":[",
-                escaped(component),
+                "{{\"kind\":\"transition\",\"at\":{at_nanos},\"component\":\""
+            );
+            escape_json(component, out);
+            let _ = write!(
+                out,
+                "\",\"from\":\"{}\",\"to\":\"{}\",\"reasons\":[",
                 from.label(),
                 to.label(),
             );
@@ -266,7 +268,9 @@ fn render_event(event: &FlightEvent, out: &mut String) {
                 if i > 0 {
                     out.push(',');
                 }
-                let _ = write!(out, "\"{}\"", escaped(reason));
+                out.push('"');
+                escape_json(reason, out);
+                out.push('"');
             }
             out.push_str("]}");
         }
@@ -289,38 +293,17 @@ fn render_event(event: &FlightEvent, out: &mut String) {
         } => {
             let _ = write!(
                 out,
-                "{{\"kind\":\"regression\",\"at\":{at_nanos},\"series\":\"{}\",\
-                 \"previous\":{previous},\"current\":{current}}}",
-                escaped(key),
+                "{{\"kind\":\"regression\",\"at\":{at_nanos},\"series\":\""
             );
+            escape_json(key, out);
+            let _ = write!(out, "\",\"previous\":{previous},\"current\":{current}}}");
         }
         FlightEvent::Note { at_nanos, text } => {
-            let _ = write!(
-                out,
-                "{{\"kind\":\"note\",\"at\":{at_nanos},\"text\":\"{}\"}}",
-                escaped(text),
-            );
+            let _ = write!(out, "{{\"kind\":\"note\",\"at\":{at_nanos},\"text\":\"");
+            escape_json(text, out);
+            out.push_str("\"}");
         }
     }
-}
-
-/// JSON string-escape `value` (same rules as the obs JSON renderer).
-pub(crate) fn escaped(value: &str) -> String {
-    let mut out = String::with_capacity(value.len());
-    for c in value.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -11,11 +11,29 @@
 //! scrape, and the diagnostic dump is well-formed at every
 //! interleaving point.
 
-use evorec_obs::{Clock, LogicalClock, MetricsRegistry};
+use evorec_obs::{Clock, LogicalClock, MetricsRegistry, MetricsSource, Sample};
 use evorec_telemetry::{CollectorConfig, FlightRecorder, TelemetryCollector};
+use sched::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 const KEY: &str = "evorec_model_ticks_total";
+
+/// The model's one series, a counter read at scrape time. It counts
+/// with a `sched` atomic, so every add is a scheduling point.
+#[derive(Default)]
+struct Ticks(AtomicU64);
+
+impl Ticks {
+    fn add(&self, n: u64) {
+        self.0.fetch_add(n, Ordering::Relaxed);
+    }
+}
+
+impl MetricsSource for Ticks {
+    fn collect(&self, out: &mut Vec<Sample>) {
+        out.push(Sample::counter(KEY, self.0.load(Ordering::Relaxed)));
+    }
+}
 
 fn bounded() -> sched::Builder {
     sched::Builder {
@@ -32,7 +50,8 @@ fn bounded() -> sched::Builder {
 fn scrape_racing_render_is_never_torn() {
     let report = bounded().explore(|| {
         let registry = Arc::new(MetricsRegistry::new());
-        let counter = registry.counter(KEY);
+        let counter = Arc::new(Ticks::default());
+        registry.register_source(Arc::clone(&counter) as Arc<dyn MetricsSource>);
         let clock = Arc::new(LogicalClock::new());
         let collector = Arc::new(TelemetryCollector::new(
             Arc::clone(&registry),

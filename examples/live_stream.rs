@@ -102,15 +102,14 @@ fn main() {
                 scored.objective
             );
         }
-        if let Some(stats) = recommendation.cache_stats {
-            println!(
-                "  cache: {} hits / {} misses / {} invalidated (hit rate {:.0}%)",
-                stats.hits,
-                stats.misses,
-                stats.invalidations,
-                stats.hit_rate() * 100.0
-            );
-        }
+        let stats = cache.stats();
+        println!(
+            "  cache: {} hits / {} misses / {} invalidated (hit rate {:.0}%)",
+            stats.hits,
+            stats.misses,
+            stats.invalidations,
+            stats.hit_rate() * 100.0
+        );
     }
 
     let ingestor = pipeline.shutdown();

@@ -4,16 +4,19 @@
 //! events through the `Ingestor` is indistinguishable from the batch
 //! build — same snapshots, same deltas, same context fingerprints, and
 //! therefore same measure reports and recommendations. Plus the
-//! incremental-maintenance contract: advancing a counting measure's
-//! report by an extension delta equals recomputing it from scratch.
+//! incremental-maintenance contract: the warm pass a `LiveContext`
+//! publish runs, which advances counting measures' reports by the
+//! extension delta, equals recomputing them from scratch.
 
+use evorec::core::ReportCache;
 use evorec::kb::{TermId, Triple, TripleStore};
 use evorec::measures::{EvolutionContext, MeasureRegistry};
-use evorec::stream::{ChangeEvent, Ingestor, IngestorConfig};
+use evorec::stream::{ChangeEvent, Ingestor, IngestorConfig, LiveContext};
 use evorec::synth::workload::streamed::{replay, seeded_ingestor, step_events};
 use evorec::synth::workload::{clinical, curated_kb, sensor_stream, social_feed};
 use evorec::versioning::{VersionId, VersionedStore};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn t(n: u32) -> TermId {
     TermId::from_u32(n)
@@ -166,9 +169,10 @@ proptest! {
         prop_assert_eq!(ingestor.store().snapshot(head), &expected);
     }
 
-    /// Incremental maintenance equals full recomputation: advancing the
-    /// previous window's reports by the extension delta produces the
-    /// same catalogue as computing over the new window from scratch.
+    /// Incremental maintenance equals full recomputation: publishing
+    /// the v0→v2 window over a cache warm for v0→v1 advances each
+    /// cached report by the v1→v2 extension, and every report the
+    /// publish warms equals computing over the new window from scratch.
     #[test]
     fn incremental_update_equals_recompute(
         edges in prop::collection::vec((0u32..20, 0u32..20), 0..30),
@@ -177,16 +181,24 @@ proptest! {
         links2 in prop::collection::vec((0u32..40, 0u32..40, 0u32..4, any::<bool>()), 0..15),
     ) {
         let (vs, [v0, v1, v2]) = random_world(&edges, &churn1, &churn2, &links2);
-        let registry = MeasureRegistry::extended();
-        let prev_ctx = EvolutionContext::build(&vs, v0, v1);
-        let next_ctx = EvolutionContext::build(&vs, v0, v2);
-        let previous = registry.compute_all(&prev_ctx);
-        let extension = vs.delta(v1, v2);
-        let updated = registry.update_all(&next_ctx, &extension, &previous);
-        let recomputed = registry.compute_all(&next_ctx);
-        for (u, r) in updated.iter().zip(&recomputed) {
-            prop_assert_eq!(&u.measure, &r.measure);
-            prop_assert_eq!(u.scores(), r.scores(), "{}", &u.measure);
+        let registry = Arc::new(MeasureRegistry::extended());
+        let cache = Arc::new(ReportCache::new());
+        let prev_ctx = Arc::new(EvolutionContext::build(&vs, v0, v1));
+        let next_ctx = Arc::new(EvolutionContext::build(&vs, v0, v2));
+        let _ = cache.reports_for(&registry, &prev_ctx);
+        let live = LiveContext::with_serving(
+            prev_ctx,
+            Arc::clone(&registry),
+            Arc::clone(&cache),
+            "incremental",
+        );
+        live.publish(Arc::clone(&next_ctx), Some(vs.delta(v1, v2)));
+        for measure in registry.all() {
+            let warmed = cache.get(&measure.id(), next_ctx.fingerprint());
+            prop_assert!(warmed.is_some(), "publish warmed {}", measure.id());
+            let (warmed, fresh) = (warmed.unwrap(), measure.compute(&next_ctx));
+            prop_assert_eq!(&warmed.measure, &fresh.measure);
+            prop_assert_eq!(warmed.scores(), fresh.scores(), "{}", &fresh.measure);
         }
     }
 }
@@ -261,8 +273,10 @@ fn pipeline_landmark_rebuilds_never_rediff_snapshots() {
     let world = curated_kb(40, 16);
     let ingestor = seeded_ingestor(&world, IngestorConfig {
         // Small micro-batches: the stream commits many epochs, each of
-        // which republishes the widening origin → head landmark.
-        max_batch: 32,
+        // which republishes the widening origin → head landmark. An
+        // epoch holds at most 2·max_batch − 1 events, so the 50-event
+        // stream commits at least two whatever the thread timing.
+        max_batch: 16,
         ..Default::default()
     });
     let origin = ingestor.head().expect("seeded");
@@ -298,10 +312,8 @@ fn pipeline_landmark_rebuilds_never_rediff_snapshots() {
 /// shutdown.
 #[test]
 fn pipeline_serves_streamed_workload_warm() {
-    use evorec::core::ReportCache;
     use evorec::stream::{PipelineOptions, StreamPipeline};
     use evorec::synth::workload::streamed::stream_into;
-    use std::sync::Arc;
 
     let world = curated_kb(40, 15);
     let registry = Arc::new(MeasureRegistry::standard());

@@ -10,11 +10,16 @@ use evorec_kb::TermId;
 use evorec_measures::{MeasureCategory, MeasureId};
 use evorec_stream::BoundedLog;
 use std::hint::black_box;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 const USERS: u32 = 64;
 const MEASURES: u32 = 8;
+/// Timed profile reads under the update storm: enough that the timed
+/// group spans many reactions, not the few a 50-sample run overlaps.
+const STORM_SAMPLES: usize = 20_000;
+/// Reactions the storm must apply while the reads are timed.
+const MIN_STORM_REACTIONS: u64 = 100;
 
 /// A deterministic soup of curator reactions across users and measures.
 fn feedback_soup(events: usize) -> Vec<FeedbackEvent> {
@@ -79,12 +84,19 @@ fn bench_feedback_throughput(c: &mut Criterion) {
 /// Profile-read latency while an update storm runs underneath: readers
 /// must only ever pay an `Arc` clone under a briefly held read lock —
 /// the copy-on-write profile rebuilds happen off the read path.
+///
+/// The bench times nothing until the updater has applied a reaction,
+/// and panics unless the storm applied at least [`MIN_STORM_REACTIONS`]
+/// while the readers were timed: a number measured without contention
+/// would claim a guarantee it never exercised.
 fn bench_read_latency_under_updates(c: &mut Criterion) {
     let store = seeded_store();
     let stop = Arc::new(AtomicBool::new(false));
+    let applied = Arc::new(AtomicU64::new(0));
     let updater = {
         let store = Arc::clone(&store);
         let stop = Arc::clone(&stop);
+        let applied = Arc::clone(&applied);
         let soup = feedback_soup(10_000);
         std::thread::spawn(move || {
             let mut i = 0usize;
@@ -92,13 +104,18 @@ fn bench_read_latency_under_updates(c: &mut Criterion) {
                 let event = &soup[i % soup.len()];
                 store.react(event.user, &event.item, event.reaction);
                 i += 1;
+                applied.store(i as u64, Ordering::Relaxed);
             }
-            i
         })
     };
+    while applied.load(Ordering::Relaxed) == 0 {
+        assert!(!updater.is_finished(), "the updater exited before reacting");
+        std::hint::spin_loop();
+    }
+    let before = applied.load(Ordering::Relaxed);
 
     let mut group = c.benchmark_group("adapt");
-    group.sample_size(50);
+    group.sample_size(STORM_SAMPLES);
     group.bench_function("profile_read_during_update_storm", |b| {
         let mut user = 0u32;
         b.iter(|| {
@@ -107,11 +124,17 @@ fn bench_read_latency_under_updates(c: &mut Criterion) {
         })
     });
     group.finish();
+    let during = applied.load(Ordering::Relaxed) - before;
     stop.store(true, Ordering::Relaxed);
-    let applied = updater.join().expect("updater thread");
+    updater.join().expect("updater thread");
     println!(
-        "adapt: updater applied {applied} reactions while readers ran; store {:?}",
+        "adapt: updater applied {during} reactions while readers ran; store {:?}",
         store.stats()
+    );
+    assert!(
+        during >= MIN_STORM_REACTIONS,
+        "the updater applied {during} reactions while readers ran \
+         (want >= {MIN_STORM_REACTIONS}): the reads were timed without contention"
     );
 }
 

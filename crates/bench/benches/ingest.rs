@@ -13,6 +13,13 @@ use std::hint::black_box;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+/// Timed context reads during the publisher's swaps: enough that the
+/// timed group spans several epoch rebuilds (the harness stops a group
+/// at its time budget first).
+const SWAP_SAMPLES: usize = 1_000_000;
+/// Epoch swaps the publisher must complete while the reads are timed.
+const MIN_SWAPS: u64 = 2;
+
 /// Event-log throughput: push + drain through the bounded queue.
 fn bench_event_log(c: &mut Criterion) {
     let world = curated_kb(120, 61);
@@ -63,6 +70,11 @@ fn bench_ingest_throughput(c: &mut Criterion) {
 /// swaps fresh contexts (with pre-warm + invalidation running against
 /// a shared report cache). Readers must see only pointer-swap cost —
 /// nanoseconds, not the milliseconds an epoch rebuild takes.
+///
+/// The bench times nothing until the publisher has swapped once, and
+/// panics unless it swapped at least [`MIN_SWAPS`] times while the
+/// reads were timed: a number measured between swaps would claim a
+/// guarantee it never exercised.
 fn bench_swap_latency(c: &mut Criterion) {
     let world = curated_kb(120, 63);
     let store = &world.kb.store;
@@ -99,19 +111,29 @@ fn bench_swap_latency(c: &mut Criterion) {
             }
         })
     };
+    while live.epoch() == 0 {
+        assert!(!publisher.is_finished(), "the publisher exited before swapping");
+        std::hint::spin_loop();
+    }
+    let before = live.epoch();
 
     let mut group = c.benchmark_group("swap");
-    group.sample_size(50);
+    group.sample_size(SWAP_SAMPLES);
     group.bench_function("reader_current_during_commits", |b| {
         b.iter(|| black_box(live.current().fingerprint()))
     });
     group.finish();
+    let during = live.epoch() - before;
     stop.store(true, Ordering::Relaxed);
     publisher.join().expect("publisher thread");
     println!(
-        "swap: publisher completed {} epoch swaps while readers ran; cache stats {:?}",
-        live.epoch(),
+        "swap: publisher completed {during} epoch swaps while readers ran; cache stats {:?}",
         cache.stats()
+    );
+    assert!(
+        during >= MIN_SWAPS,
+        "the publisher completed {during} epoch swaps while readers ran \
+         (want >= {MIN_SWAPS}): the reads were timed between swaps"
     );
 }
 

@@ -65,7 +65,9 @@ fn bench_selection(c: &mut Criterion) {
 /// Cold vs warm serving over the same evolution step. Both sides
 /// rebuild the `EvolutionContext` per request (outside the timed
 /// region), so the cold/warm delta isolates exactly what the report
-/// cache amortises: the full measure-catalogue evaluation.
+/// cache amortises: the full measure-catalogue evaluation and the
+/// profile's PageRank interest expansion. The warm case panics if any
+/// of its requests expanded the profile anew.
 fn bench_cache(c: &mut Criterion) {
     let world = curated_kb(200, 58);
     let store = &world.kb.store;
@@ -91,10 +93,12 @@ fn bench_cache(c: &mut Criterion) {
         )
     });
     // Prime once; from here every rebuilt context fingerprints onto the
-    // same entries and the full catalogue is served from the cache.
+    // same entries: the full catalogue and the profile's interest
+    // expansion are served from the cache.
     cache.clear();
     let primed = EvolutionContext::build(store, base, head);
     let _ = recommender.recommend(&primed, &profile);
+    let primed_stats = cache.stats();
     group.bench_function("recommend_warm_200c", |b| {
         b.iter_batched(
             || EvolutionContext::build(store, base, head),
@@ -103,6 +107,15 @@ fn bench_cache(c: &mut Criterion) {
         )
     });
     group.finish();
+    let warm_stats = cache.stats();
+    assert_eq!(
+        warm_stats.expansion_misses, primed_stats.expansion_misses,
+        "a warm recommend re-ran the profile's PageRank expansion"
+    );
+    assert!(
+        warm_stats.expansion_hits > primed_stats.expansion_hits,
+        "the warm recommends never read the expansion memo"
+    );
 }
 
 /// 100 users against one context: per-request `recommend` loop vs the

@@ -14,17 +14,27 @@
 //! normalised reports, and (lazily) the pairwise distance matrix —
 //! everything `Recommender::recommend` derives from a context before
 //! any user enters the picture — keyed by the context fingerprint plus
-//! the deriving configuration. A warm request reads only this level;
-//! the report level serves the warm pass that runs at each epoch
-//! publish, derived-level misses, and whole-measure ranking.
+//! the measure catalogue and the deriving configuration. The report
+//! level serves the warm pass that runs at each epoch publish,
+//! derived-level misses, and whole-measure ranking.
+//!
+//! The third level holds the per-user half: each curator's interests
+//! expanded over the step's union class graph by personalised PageRank
+//! ([`ExpandedProfile`]), keyed by exactly that computation's input —
+//! the context fingerprint, the PageRank configuration's bit patterns
+//! and the profile's node-sorted seeds with their weights' bit
+//! patterns. A warm request reads the derived level once and the
+//! expansion level once per user, and computes only scoring and MMR.
 //!
 //! Each level is one bounded first-in-first-out map behind one
-//! [`RwLock`]. Both support explicit invalidation of a superseded
+//! [`RwLock`]. All three support explicit invalidation of a superseded
 //! fingerprint (the streaming layer's epoch swap), with the
 //! eviction/invalidation traffic surfaced in [`CacheStats`].
 
 use crate::diversity::{DistanceMatrix, DistanceWeights};
 use crate::item::Item;
+use crate::relatedness::ExpandedProfile;
+use evorec_graph::{NodeIx, PageRankConfig};
 use evorec_kb::{FxHashMap, FxHasher};
 use evorec_measures::{
     ContextFingerprint, EvolutionContext, MeasureId, MeasureRegistry, MeasureReport,
@@ -53,14 +63,21 @@ type CacheKey = (MeasureId, ContextFingerprint);
 /// distinct `(step, config)` pairs is plenty for any live dashboard.
 const DEFAULT_DERIVED_CAPACITY: usize = 64;
 
+/// Total [`ExpandedProfile`] entries retained before FIFO eviction. One
+/// entry is one curator's interests expanded over one step's union
+/// graph (a few KiB on a 200-class graph); 1024 holds sixteen curators
+/// on eight windows eight times over.
+const EXPANSION_CAPACITY: usize = 1024;
+
 /// Everything the recommender derives from one context before any user
 /// enters the picture: the candidate item pool, the min-max-normalised
 /// reports it was drawn from, and — materialised lazily, because the
 /// group pipeline never needs it — the pairwise candidate distance
 /// matrix.
 ///
-/// Pure function of `(context fingerprint, pool size, distance
-/// configuration)`, which is exactly how [`ReportCache`] keys it.
+/// Pure function of the context fingerprint, the measure catalogue (as
+/// its [`registry_digest`]), the pool size and the distance
+/// configuration, which is exactly how [`ReportCache`] keys it.
 #[derive(Debug)]
 pub struct DerivedArtefacts {
     /// The candidate pool (top regions of every measure).
@@ -151,6 +168,35 @@ pub fn registry_digest(registry: &MeasureRegistry) -> u64 {
     h.finish()
 }
 
+/// Key of one expansion entry: exactly the input of the personalised
+/// PageRank — the step (its union graph), the configuration and the
+/// node-sorted seeds — with every float keyed by its bit pattern, so a
+/// hit returns what the same computation produced from the same input.
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+struct ExpansionKey {
+    fingerprint: ContextFingerprint,
+    config_bits: [u64; 3],
+    seed_bits: Box<[(NodeIx, u64)]>,
+}
+
+impl ExpansionKey {
+    fn new(
+        fingerprint: ContextFingerprint,
+        config: PageRankConfig,
+        seeds: &[(NodeIx, f64)],
+    ) -> ExpansionKey {
+        ExpansionKey {
+            fingerprint,
+            config_bits: [
+                config.damping.to_bits(),
+                config.max_iterations as u64,
+                config.tolerance.to_bits(),
+            ],
+            seed_bits: seeds.iter().map(|&(node, w)| (node, w.to_bits())).collect(),
+        }
+    }
+}
+
 /// One cache level: a map bounded to `capacity` entries, evicting in
 /// insertion order.
 struct Fifo<K, V> {
@@ -237,10 +283,14 @@ pub struct CacheStats {
     pub derived_hits: u64,
     /// Derived-artefact lookups that had to build.
     pub derived_misses: u64,
-    /// Entries dropped by capacity pressure (both levels, FIFO).
+    /// Profile-expansion lookups answered from the cache.
+    pub expansion_hits: u64,
+    /// Profile-expansion lookups that had to run PageRank.
+    pub expansion_misses: u64,
+    /// Entries dropped by capacity pressure (every level, FIFO).
     pub evictions: u64,
-    /// Entries dropped by explicit fingerprint invalidation, both
-    /// levels: a [`ReportCache::publish_lineage`] that supersedes a
+    /// Entries dropped by explicit fingerprint invalidation, every
+    /// level: a [`ReportCache::publish_lineage`] that supersedes a
     /// fingerprint no other lineage claims.
     pub invalidations: u64,
     /// Per-lineage counters, registration order (empty when no lineage
@@ -265,8 +315,8 @@ impl CacheStats {
 }
 
 /// A thread-safe cache of raw (unnormalised) measure reports keyed by
-/// `(measure, context fingerprint)`, with the [`DerivedArtefacts`]
-/// level on top.
+/// `(measure, context fingerprint)`, with the [`DerivedArtefacts`] and
+/// [`ExpandedProfile`] levels beside it.
 ///
 /// Entries are `Arc`-shared, so a hit costs one read lock and a
 /// reference-count bump — no report is ever copied out. Shared between
@@ -277,11 +327,14 @@ impl CacheStats {
 pub struct ReportCache {
     reports: RwLock<Fifo<CacheKey, Arc<MeasureReport>>>,
     derived: RwLock<Fifo<DerivedKey, Arc<DerivedArtefacts>>>,
+    expansions: RwLock<Fifo<ExpansionKey, Arc<ExpandedProfile>>>,
     lineages: RwLock<Vec<LineageState>>,
     hits: AtomicU64,
     misses: AtomicU64,
     derived_hits: AtomicU64,
     derived_misses: AtomicU64,
+    expansion_hits: AtomicU64,
+    expansion_misses: AtomicU64,
     evictions: AtomicU64,
     invalidations: AtomicU64,
 }
@@ -309,16 +362,19 @@ impl ReportCache {
     }
 
     /// A cache retaining at most `entries` reports (clamped to at least
-    /// 1) and the default number of derived entries.
+    /// 1) and the default numbers of derived and expansion entries.
     pub fn with_capacity(entries: usize) -> ReportCache {
         ReportCache {
             reports: RwLock::new(Fifo::new(entries)),
             derived: RwLock::new(Fifo::new(DEFAULT_DERIVED_CAPACITY)),
+            expansions: RwLock::new(Fifo::new(EXPANSION_CAPACITY)),
             lineages: RwLock::new(Vec::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             derived_hits: AtomicU64::new(0),
             derived_misses: AtomicU64::new(0),
+            expansion_hits: AtomicU64::new(0),
+            expansion_misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             invalidations: AtomicU64::new(0),
         }
@@ -384,8 +440,8 @@ impl ReportCache {
     }
 
     /// An epoch swap scoped to one lineage: move `lineage`'s claim from
-    /// `superseded` to `fresh`, then drop `superseded`'s entries (both
-    /// levels) **only if no other lineage still claims it** — the
+    /// `superseded` to `fresh`, then drop `superseded`'s entries (every
+    /// level) **only if no other lineage still claims it** — the
     /// shared-cache safety multi-window serving needs: one window's
     /// swap never evicts the artefacts another window still serves.
     /// Returns how many entries were removed (0 when the fingerprint
@@ -526,9 +582,35 @@ impl ReportCache {
         handle
     }
 
-    /// Drop every entry — report-level and derived-level — belonging to
-    /// the step identified by `fingerprint`, returning how many were
-    /// removed. [`publish_lineage`](ReportCache::publish_lineage) calls
+    /// A profile's interests expanded over the step identified by
+    /// `fingerprint`, from its `seeds` (see [`ExpandedProfile::seeds`])
+    /// under `config`, running `expand` (and caching its result) on a
+    /// miss. The key is the whole PageRank input, so a hit is
+    /// bit-identical to a fresh expansion. Concurrent expanders race
+    /// benignly: the first insert wins and later expanders adopt it.
+    pub fn expansion_or_insert(
+        &self,
+        fingerprint: ContextFingerprint,
+        config: PageRankConfig,
+        seeds: &[(NodeIx, f64)],
+        expand: impl FnOnce() -> ExpandedProfile,
+    ) -> Arc<ExpandedProfile> {
+        let key = ExpansionKey::new(fingerprint, config, seeds);
+        if let Some(hit) = self.expansions.read().map.get(&key) {
+            self.expansion_hits.fetch_add(1, Ordering::Relaxed);
+            return Arc::clone(hit);
+        }
+        self.expansion_misses.fetch_add(1, Ordering::Relaxed);
+        let expanded = Arc::new(expand());
+        let (handle, evicted) = self.expansions.write().insert_unless_present(key, expanded);
+        self.count_evictions(evicted);
+        handle
+    }
+
+    /// Drop every entry — report, derived and expansion level —
+    /// belonging to the step identified by `fingerprint`, returning how
+    /// many were removed.
+    /// [`publish_lineage`](ReportCache::publish_lineage) calls
     /// this on epoch swap so entries of superseded contexts stop
     /// occupying capacity (holders of the shared `Arc`s keep their
     /// copies alive, of course).
@@ -540,14 +622,18 @@ impl ReportCache {
     /// bounded — they just occupy FIFO slots until evicted or until a
     /// later invalidation of the same fingerprint.
     fn invalidate_fingerprint(&self, fingerprint: ContextFingerprint) -> usize {
-        // Never hold both level locks: each guard drops at the end of
-        // its statement, so the two levels take no order between them.
+        // Never hold two level locks: each guard drops at the end of
+        // its statement, so the levels take no order between them.
         let reports = self.reports.write().retain(|key| key.1 != fingerprint);
         let derived = self
             .derived
             .write()
             .retain(|key| key.fingerprint != fingerprint);
-        let removed = reports + derived;
+        let expansions = self
+            .expansions
+            .write()
+            .retain(|key| key.fingerprint != fingerprint);
+        let removed = reports + derived + expansions;
         self.invalidations.fetch_add(removed as u64, Ordering::Relaxed);
         removed
     }
@@ -555,6 +641,11 @@ impl ReportCache {
     /// Number of cached derived-artefact entries.
     pub fn derived_len(&self) -> usize {
         self.derived.read().map.len()
+    }
+
+    /// Number of cached profile expansions.
+    pub fn expansion_len(&self) -> usize {
+        self.expansions.read().map.len()
     }
 
     /// Number of cached reports.
@@ -567,13 +658,14 @@ impl ReportCache {
         self.len() == 0
     }
 
-    /// Drop every cached entry, report-level and derived-level (stats
-    /// are kept; see [`reset_stats`]).
+    /// Drop every cached entry, every level (stats are kept; see
+    /// [`reset_stats`]).
     ///
     /// [`reset_stats`]: ReportCache::reset_stats
     pub fn clear(&self) {
         self.reports.write().clear();
         self.derived.write().clear();
+        self.expansions.write().clear();
     }
 
     /// Cumulative counters since construction (or the last
@@ -594,6 +686,8 @@ impl ReportCache {
             misses: self.misses.load(Ordering::Relaxed),
             derived_hits: self.derived_hits.load(Ordering::Relaxed),
             derived_misses: self.derived_misses.load(Ordering::Relaxed),
+            expansion_hits: self.expansion_hits.load(Ordering::Relaxed),
+            expansion_misses: self.expansion_misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             invalidations: self.invalidations.load(Ordering::Relaxed),
             lineages: lineages
@@ -614,6 +708,8 @@ impl ReportCache {
         self.misses.store(0, Ordering::Relaxed);
         self.derived_hits.store(0, Ordering::Relaxed);
         self.derived_misses.store(0, Ordering::Relaxed);
+        self.expansion_hits.store(0, Ordering::Relaxed);
+        self.expansion_misses.store(0, Ordering::Relaxed);
         self.evictions.store(0, Ordering::Relaxed);
         self.invalidations.store(0, Ordering::Relaxed);
         for state in self.lineages.read().iter() {
@@ -647,6 +743,14 @@ impl evorec_obs::MetricsSource for ReportCache {
             stats.derived_misses,
         ));
         out.push(evorec_obs::Sample::counter(
+            "evorec_cache_expansion_hits_total",
+            stats.expansion_hits,
+        ));
+        out.push(evorec_obs::Sample::counter(
+            "evorec_cache_expansion_misses_total",
+            stats.expansion_misses,
+        ));
+        out.push(evorec_obs::Sample::counter(
             "evorec_cache_evictions_total",
             stats.evictions,
         ));
@@ -661,6 +765,10 @@ impl evorec_obs::MetricsSource for ReportCache {
         out.push(evorec_obs::Sample::gauge(
             "evorec_cache_derived_entries",
             self.derived_len() as u64,
+        ));
+        out.push(evorec_obs::Sample::gauge(
+            "evorec_cache_expansion_entries",
+            self.expansion_len() as u64,
         ));
         for lineage in &stats.lineages {
             out.push(
@@ -1082,6 +1190,157 @@ mod tests {
         assert_eq!(cache.stats().evictions, registry.len() as u64);
         cache.reset_stats();
         assert_eq!(cache.stats(), CacheStats::default());
+    }
+
+    /// A profile interested in the world's first class (a union-graph
+    /// node, so its expansion runs PageRank).
+    fn interested(ctx: &EvolutionContext) -> crate::UserProfile {
+        let class = ctx.graph_union.term(0);
+        crate::UserProfile::new(crate::UserId(1), "u").with_interest(class, 1.0)
+    }
+
+    #[test]
+    fn expansions_are_keyed_by_the_whole_pagerank_input() {
+        let (_vs, ctx) = world();
+        let cache = Arc::new(ReportCache::new());
+        let profile = interested(&ctx);
+        let narrow = cached_recommender(&cache);
+        let wide_config = crate::RecommenderConfig {
+            pagerank: PageRankConfig {
+                damping: 0.85,
+                ..crate::relatedness::expansion_config()
+            },
+            ..Default::default()
+        };
+        let wide = crate::Recommender::with_cache(
+            MeasureRegistry::standard(),
+            wide_config,
+            Arc::clone(&cache),
+        );
+        // Two configs over one shared cache: two expansions, no sharing,
+        // and each answer is what an uncached recommender with the same
+        // config computes.
+        for _ in 0..2 {
+            for recommender in [&narrow, &wide] {
+                let served = recommender.recommend_measures(&ctx, &profile, 5);
+                let fresh =
+                    crate::Recommender::new(MeasureRegistry::standard(), *recommender.config())
+                        .recommend_measures(&ctx, &profile, 5);
+                let bits = |ranked: &[(MeasureId, f64)]| {
+                    ranked
+                        .iter()
+                        .map(|(id, score)| (id.clone(), score.to_bits()))
+                        .collect::<Vec<_>>()
+                };
+                assert_eq!(bits(&served), bits(&fresh));
+            }
+        }
+        assert_eq!(cache.expansion_len(), 2, "one expansion per config");
+        let stats = cache.stats();
+        assert_eq!((stats.expansion_misses, stats.expansion_hits), (2, 2));
+        // Every input field is part of the key.
+        let fp = ctx.fingerprint();
+        let config = crate::relatedness::expansion_config();
+        let seeds = [(0, 1.0)];
+        let key = ExpansionKey::new(fp, config, &seeds);
+        assert_eq!(key, ExpansionKey::new(fp, config, &seeds));
+        let variants = [
+            ExpansionKey::new(
+                ContextFingerprint {
+                    digest: !fp.digest,
+                    ..fp
+                },
+                config,
+                &seeds,
+            ),
+            ExpansionKey::new(
+                fp,
+                PageRankConfig {
+                    max_iterations: config.max_iterations + 1,
+                    ..config
+                },
+                &seeds,
+            ),
+            ExpansionKey::new(
+                fp,
+                PageRankConfig {
+                    tolerance: config.tolerance / 10.0,
+                    ..config
+                },
+                &seeds,
+            ),
+            ExpansionKey::new(fp, config, &[(1, 1.0)]),
+            ExpansionKey::new(fp, config, &[(0, 0.5)]),
+            ExpansionKey::new(fp, config, &[(0, 1.0), (1, 1.0)]),
+        ];
+        for variant in &variants {
+            assert_ne!(&key, variant);
+        }
+    }
+
+    #[test]
+    fn expansion_level_is_bounded_and_counts_evictions() {
+        let (_vs, ctx) = world();
+        let cache = ReportCache::new();
+        let graph = &ctx.graph_union;
+        let config = crate::relatedness::expansion_config();
+        let fp = ctx.fingerprint();
+        let extra = 5;
+        let expand = |cache: &ReportCache, i: usize| {
+            let seeds = [(0, 1.0 + i as f64)];
+            cache.expansion_or_insert(fp, config, &seeds, || {
+                ExpandedProfile::from_seeds(graph, &seeds, config)
+            })
+        };
+        for i in 0..EXPANSION_CAPACITY + extra {
+            expand(&cache, i);
+        }
+        assert_eq!(cache.expansion_len(), EXPANSION_CAPACITY);
+        let stats = cache.stats();
+        assert_eq!(stats.evictions, extra as u64);
+        assert_eq!(stats.expansion_misses, (EXPANSION_CAPACITY + extra) as u64);
+        assert_eq!(stats.expansion_hits, 0);
+        // First in, first out: the newest seed set is resident, the
+        // oldest was evicted and misses again.
+        cache.reset_stats();
+        expand(&cache, EXPANSION_CAPACITY + extra - 1);
+        assert_eq!(cache.stats().expansion_hits, 1);
+        expand(&cache, 0);
+        assert_eq!(cache.stats().expansion_misses, 1);
+        assert_eq!(cache.expansion_len(), EXPANSION_CAPACITY);
+        // Expansion traffic leaves the report and derived counters alone.
+        assert_eq!(cache.stats().lookups(), 0);
+        assert_eq!(cache.stats().derived_hits + cache.stats().derived_misses, 0);
+    }
+
+    #[test]
+    fn publish_lineage_drops_the_superseded_steps_expansions() {
+        let (vs, ctx) = world();
+        let registry = MeasureRegistry::standard();
+        let cache = Arc::new(ReportCache::new());
+        let recommender = cached_recommender(&cache);
+        let lineage = cache.register_lineage("window");
+        cache.claim_lineage(lineage, ctx.fingerprint());
+        let profile = interested(&ctx);
+        let _ = recommender.recommend(&ctx, &profile);
+        assert_eq!(cache.expansion_len(), 1);
+        let idle = EvolutionContext::build(&vs, ctx.from, ctx.from);
+        let _ = recommender.recommend_measures(&idle, &profile, 3);
+        assert_eq!(cache.expansion_len(), 2, "one expansion per step");
+
+        let removed = cache.publish_lineage(lineage, ctx.fingerprint(), idle.fingerprint());
+        assert_eq!(removed, registry.len() + 2, "reports + derived + expansion");
+        assert_eq!(cache.expansion_len(), 1, "the fresh step's expansion stays");
+        assert_eq!(cache.stats().invalidations, removed as u64);
+        cache.reset_stats();
+        let _ = recommender.recommend_measures(&idle, &profile, 3);
+        assert_eq!(cache.stats().expansion_hits, 1);
+        let _ = recommender.recommend(&ctx, &profile);
+        assert_eq!(
+            cache.stats().expansion_misses,
+            1,
+            "superseded step expands anew"
+        );
     }
 
     #[test]

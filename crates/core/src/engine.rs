@@ -99,7 +99,8 @@ pub trait ScoreBoost {
 /// The human-aware evolution-measure recommender (the paper's §III
 /// processing model), optionally backed by a shared [`ReportCache`] so
 /// repeated requests over the same evolution step skip measure
-/// evaluation entirely.
+/// evaluation entirely, and a curator whose interests have not moved
+/// skips their PageRank expansion too.
 pub struct Recommender {
     registry: MeasureRegistry,
     registry_digest: u64,
@@ -239,6 +240,25 @@ impl Recommender {
         (items, reports)
     }
 
+    /// `profile`'s interests expanded over the step's union graph —
+    /// served from the cache's expansion level when one is attached
+    /// (the PageRank is a pure function of the step, the configuration
+    /// and the profile's seeds), computed otherwise. A profile with no
+    /// seed on the graph falls back to its raw interests, uncached.
+    fn expanded(&self, ctx: &EvolutionContext, profile: &UserProfile) -> Arc<ExpandedProfile> {
+        let graph = &ctx.graph_union;
+        let seeds = ExpandedProfile::seeds(profile, graph);
+        if seeds.is_empty() {
+            return Arc::new(ExpandedProfile::raw(profile));
+        }
+        let pagerank = self.config.pagerank;
+        let expand = || ExpandedProfile::from_seeds(graph, &seeds, pagerank);
+        match &self.cache {
+            Some(cache) => cache.expansion_or_insert(ctx.fingerprint(), pagerank, &seeds, expand),
+            None => Arc::new(expand()),
+        }
+    }
+
     /// Per-candidate `(relevance, novelty, effective)` scores of one
     /// profile over an item pool.
     fn score_items(
@@ -247,7 +267,7 @@ impl Recommender {
         profile: &UserProfile,
         items: &[Item],
     ) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
-        let expanded = ExpandedProfile::expand(profile, &ctx.graph_union, self.config.pagerank);
+        let expanded = self.expanded(ctx, profile);
         let relevance: Vec<f64> = items
             .iter()
             .map(|it| item_relatedness(&expanded, it))
@@ -376,7 +396,7 @@ impl Recommender {
         profile: &UserProfile,
         k: usize,
     ) -> Vec<(MeasureId, f64)> {
-        let expanded = ExpandedProfile::expand(profile, &ctx.graph_union, self.config.pagerank);
+        let expanded = self.expanded(ctx, profile);
         let mut scored: Vec<(MeasureId, evorec_measures::MeasureCategory, f64)> = self
             .reports(ctx)
             .into_iter()
@@ -538,8 +558,9 @@ fn default_worker_threads() -> usize {
 /// Amortised many-users-one-context serving: the candidate pool,
 /// normalised reports and pairwise distance matrix are computed once
 /// (through the report cache when the underlying [`Recommender`] has
-/// one), and only the cheap per-user work — profile expansion, scoring,
-/// MMR + swap refinement — fans out across scoped worker threads.
+/// one), and only the per-user work — profile expansion (memoised per
+/// step by the same cache), scoring, MMR + swap refinement — fans out
+/// across scoped worker threads.
 ///
 /// Obtained from [`Recommender::batch`]; answers arrive in profile
 /// order, and each equals what [`Recommender::recommend`] would have
@@ -842,6 +863,69 @@ mod tests {
         assert_eq!(stats.misses, catalogue, "only the cold pass missed");
         assert_eq!(stats.derived_misses, 1, "only the cold pass derived");
         assert!(stats.derived_hits >= 1, "warm pass hit the derived level");
+    }
+
+    #[test]
+    fn feedback_on_a_graph_class_reexpands_and_off_graph_feedback_hits() {
+        use crate::feedback::{FeedbackLoop, FeedbackSignal};
+        let w = world();
+        let cache = Arc::new(ReportCache::new());
+        let cached = Recommender::with_cache(
+            MeasureRegistry::standard(),
+            RecommenderConfig::default(),
+            Arc::clone(&cache),
+        );
+        let detail = |rec: &Recommendation| {
+            rec.items
+                .iter()
+                .map(|s| {
+                    (
+                        s.item.measure.as_str().to_string(),
+                        s.item.focus,
+                        s.relevance.to_bits(),
+                        s.novelty.to_bits(),
+                        s.objective.to_bits(),
+                    )
+                })
+                .collect::<Vec<_>>()
+        };
+        let counts = || {
+            let stats = cache.stats();
+            (stats.expansion_hits, stats.expansion_misses)
+        };
+        let mut profile = UserProfile::new(UserId(1), "a").with_interest(w.leaf_a, 1.0);
+        let _ = cached.recommend(&w.ctx, &profile);
+        assert_eq!(counts(), (0, 1));
+        let item = |focus| {
+            Item::new(
+                MeasureId::new("m"),
+                evorec_measures::MeasureCategory::ChangeCounting,
+                focus,
+                0.5,
+            )
+        };
+        let feedback = FeedbackLoop::default();
+        // A vocabulary term is no class of the union graph: the seeds
+        // do not move, so the next serve reuses the expansion.
+        let vocabulary = w.vs.vocab().rdf_property;
+        assert!(w.ctx.graph_union.node_of(vocabulary).is_none());
+        feedback.apply(&mut profile, &item(vocabulary), FeedbackSignal::Accepted);
+        let reused = cached.recommend(&w.ctx, &profile);
+        assert_eq!(counts(), (1, 1), "off-graph feedback hits");
+        assert_eq!(
+            detail(&reused),
+            detail(&recommender().recommend(&w.ctx, &profile))
+        );
+        // Feedback on a graph class moves a seed weight: the next serve
+        // misses and expands the new seeds.
+        feedback.apply(&mut profile, &item(w.leaf_b), FeedbackSignal::Accepted);
+        let moved = cached.recommend(&w.ctx, &profile);
+        assert_eq!(counts(), (1, 2), "graph-class feedback misses");
+        assert_eq!(cache.expansion_len(), 2);
+        assert_eq!(
+            detail(&moved),
+            detail(&recommender().recommend(&w.ctx, &profile))
+        );
     }
 
     #[test]

@@ -18,8 +18,10 @@
 //! the loop by folding user reactions back into profiles. The serving
 //! layer amortises the expensive half of the pipeline: [`ReportCache`]
 //! memoises measure reports by `(measure, context fingerprint)` across
-//! requests, and [`BatchRecommender`] answers many profiles against one
-//! context with the per-user tail fanned out over worker threads.
+//! requests, and each curator's PageRank interest expansion by step,
+//! configuration and seeds; [`BatchRecommender`] answers many profiles
+//! against one context with the per-user tail fanned out over worker
+//! threads.
 
 #![warn(missing_docs)]
 

@@ -9,7 +9,7 @@
 
 use crate::item::Item;
 use crate::profile::UserProfile;
-use evorec_graph::{personalised_pagerank, PageRankConfig, SchemaGraph};
+use evorec_graph::{personalised_pagerank, NodeIx, PageRankConfig, SchemaGraph};
 use evorec_kb::{FxHashMap, TermId};
 use evorec_measures::MeasureReport;
 
@@ -39,27 +39,54 @@ impl ExpandedProfile {
     /// the profile's interests. Falls back to the raw interests when the
     /// profile has no seed overlapping the graph.
     pub fn expand(profile: &UserProfile, graph: &SchemaGraph, config: PageRankConfig) -> Self {
-        let mut seeds: Vec<(u32, f64)> = profile
+        let seeds = ExpandedProfile::seeds(profile, graph);
+        if seeds.is_empty() {
+            ExpandedProfile::raw(profile)
+        } else {
+            ExpandedProfile::from_seeds(graph, &seeds, config)
+        }
+    }
+
+    /// The PageRank seeds of `profile` on `graph`: every interest whose
+    /// term is a node of `graph`, as `(node, weight)`, sorted by node.
+    /// Empty when no interest lands on the graph.
+    pub fn seeds(profile: &UserProfile, graph: &SchemaGraph) -> Vec<(NodeIx, f64)> {
+        let mut seeds: Vec<(NodeIx, f64)> = profile
             .interests()
             .filter_map(|(term, w)| graph.node_of(term).map(|node| (node, w)))
             .collect();
         // Interests come out of a hash map; fix the order so the
         // PageRank mass sums are bit-identical across runs.
         seeds.sort_unstable_by_key(|&(node, _)| node);
-        if seeds.is_empty() {
-            let weights: FxHashMap<TermId, f64> = profile.interests().collect();
-            let max_weight = weights.values().copied().fold(0.0, f64::max);
-            return ExpandedProfile {
-                weights,
-                max_weight,
-            };
+        seeds
+    }
+
+    /// The fallback of a profile with no seed on the graph: its raw
+    /// interest weights, unexpanded.
+    pub(crate) fn raw(profile: &UserProfile) -> Self {
+        let weights: FxHashMap<TermId, f64> = profile.interests().collect();
+        let max_weight = weights.values().copied().fold(0.0, f64::max);
+        ExpandedProfile {
+            weights,
+            max_weight,
         }
-        let rank = personalised_pagerank(graph, &seeds, config);
+    }
+
+    /// Personalised PageRank over `graph` from `seeds` (as
+    /// [`seeds`](ExpandedProfile::seeds) returns them): a pure function
+    /// of its three inputs, which is what lets the serving layer
+    /// memoise it.
+    pub fn from_seeds(
+        graph: &SchemaGraph,
+        seeds: &[(NodeIx, f64)],
+        config: PageRankConfig,
+    ) -> Self {
+        let rank = personalised_pagerank(graph, seeds, config);
         let mut weights = FxHashMap::default();
         let mut max_weight = 0.0f64;
         for (node, &score) in rank.iter().enumerate() {
             if score > 0.0 {
-                let term = graph.term(node as u32);
+                let term = graph.term(node as NodeIx);
                 weights.insert(term, score);
                 max_weight = max_weight.max(score);
             }

@@ -3,11 +3,13 @@
 //! enumerates bounded schedules of hit-credits, lineage publishes, and
 //! `stats()` snapshots, proving a snapshot can never observe a hit or
 //! invalidation split across the global and per-lineage counters —
-//! the double-/under-count the write-locked snapshot fixed. Under the
-//! default build the same closures run once as concurrency smoke
-//! tests.
+//! the double-/under-count the write-locked snapshot fixed. A third
+//! model races two expansions of one profile through the expansion
+//! level. Under the default build the same closures run once as
+//! concurrency smoke tests.
 
-use evorec_core::ReportCache;
+use evorec_core::relatedness::expansion_config;
+use evorec_core::{ExpandedProfile, ReportCache, UserId, UserProfile};
 use evorec_kb::{Triple, TripleStore};
 use evorec_measures::{EvolutionContext, MeasureRegistry};
 use evorec_versioning::VersionedStore;
@@ -149,6 +151,56 @@ fn snapshot_never_tears_a_lineage_publish() {
         let end = cache.stats();
         assert_eq!(end.invalidations, 1);
         assert_eq!(end.lineages[0].invalidations, 1);
+    });
+    assert!(report_handle.schedules >= 1);
+    if cfg!(evorec_sched) {
+        assert!(report_handle.schedules > 1);
+    }
+}
+
+/// Two threads expand one profile under one fingerprint through the
+/// expansion level: whichever schedule runs, both get bit-identical
+/// weights (a loser of the insert race adopts the winner's entry),
+/// exactly one entry stays resident, and every lookup is counted once.
+#[test]
+fn racing_expansions_agree_and_leave_one_entry() {
+    let (ctx, _) = world();
+    let graph = Arc::clone(&ctx.graph_union);
+    let fingerprint = ctx.fingerprint();
+    let profile = UserProfile::new(UserId(1), "u").with_interest(graph.term(0), 1.0);
+    let seeds = Arc::new(ExpandedProfile::seeds(&profile, &graph));
+    assert!(!seeds.is_empty(), "the profile seeds the union graph");
+    let config = expansion_config();
+
+    let builder = bounded();
+    let report_handle = builder.explore(move || {
+        let cache = Arc::new(ReportCache::with_capacity(8));
+        let expander = || {
+            let cache = Arc::clone(&cache);
+            let graph = Arc::clone(&graph);
+            let seeds = Arc::clone(&seeds);
+            sched::thread::spawn(move || {
+                cache.expansion_or_insert(fingerprint, config, &seeds, || {
+                    ExpandedProfile::from_seeds(&graph, &seeds, config)
+                })
+            })
+        };
+        let (first, second) = (expander(), expander());
+        let first = first.join().unwrap();
+        let second = second.join().unwrap();
+
+        for node in 0..graph.node_count() as u32 {
+            let term = graph.term(node);
+            assert_eq!(
+                first.weight(term).to_bits(),
+                second.weight(term).to_bits(),
+                "racing expansions must agree bit for bit"
+            );
+        }
+        assert_eq!(cache.expansion_len(), 1, "one entry per PageRank input");
+        let stats = cache.stats();
+        assert_eq!(stats.expansion_hits + stats.expansion_misses, 2);
+        assert!(stats.expansion_misses >= 1);
     });
     assert!(report_handle.schedules >= 1);
     if cfg!(evorec_sched) {

@@ -17,8 +17,9 @@
 //!    shared-tenant token bucket; the generator hammers it and expects
 //!    admission-controlled 429s with `Retry-After`, and **zero 5xx**.
 //!
-//! Prints a per-endpoint latency/status table (p50/p99/throughput)
-//! and one machine-readable JSON summary line, then exits non-zero if
+//! Prints a per-endpoint latency/status table (p50/p99/throughput),
+//! the steady phase's interest-expansion memo hits and misses, and one
+//! machine-readable JSON summary line, then exits non-zero if
 //! any 5xx was observed or the overload phase produced no 429s.
 //!
 //! Run with: `cargo run --release --example load_gen`
@@ -322,11 +323,20 @@ fn main() {
         ServeOptions::default(),
     )
     .expect("steady edge binds");
+    let before = cache.stats();
     let (steady, steady_elapsed) =
         run_phase(clients, requests, seed, &world, steady_edge.local_addr(), false);
     let steady_rows = tabulate(&steady);
     print_phase("steady", &steady_rows, steady_elapsed);
     steady_edge.shutdown();
+    // Each (user, step) pair should expand its interests once; repeats
+    // are memo hits.
+    let after = cache.stats();
+    println!(
+        "expansion memo (steady): {} hits, {} misses",
+        after.expansion_hits - before.expansion_hits,
+        after.expansion_misses - before.expansion_misses
+    );
 
     // -- Phase 2: overload — a tight shared token bucket (10 req/s,
     //    burst 2, every client the same tenant) meets a closed-loop

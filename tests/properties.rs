@@ -2,12 +2,18 @@
 
 use evorec::core::{anonymity::anonymise, select_mmr, DistanceMatrix, DistanceWeights, UserFeed, UserId};
 use evorec::core::{fairness_report, select_for_group, GroupAggregation, RelevanceMatrix};
+use evorec::core::{
+    GroupRecommendation, Recommendation, Recommender, RecommenderConfig, ReportCache, ScoredItem,
+    UserProfile,
+};
 use evorec::graph::{betweenness, betweenness_reference, SchemaGraph};
 use evorec::kb::{ntriples, FxHashMap, Term, TermId, Triple, TriplePattern, TripleStore};
 use evorec::measures::similarity;
+use evorec::measures::{EvolutionContext, MeasureRegistry};
 use evorec::measures::{MeasureCategory, MeasureId, MeasureReport, TargetKind};
-use evorec::versioning::{decode_delta, encode_delta, LowLevelDelta};
+use evorec::versioning::{decode_delta, encode_delta, LowLevelDelta, VersionedStore};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn t(n: u32) -> TermId {
     TermId::from_u32(n)
@@ -19,6 +25,179 @@ fn arb_triple(universe: u32) -> impl Strategy<Value = Triple> {
 
 fn arb_triples(universe: u32, max: usize) -> impl Strategy<Value = Vec<Triple>> {
     prop::collection::vec(arb_triple(universe), 0..max)
+}
+
+/// Classes of the expansion-memo world.
+const MEMO_CLASSES: u32 = 8;
+
+/// A two-version store over eight classes — a fixed chain plus random
+/// extra subclass edges — with random instance churn landing in V1.
+/// Returns the step's context, its classes and two terms interned
+/// outside every triple (so off the union graph).
+fn memo_world(
+    edges: &[(u32, u32)],
+    churn: &[(u32, u32)],
+) -> (EvolutionContext, Vec<TermId>, [TermId; 2]) {
+    let mut vs = VersionedStore::new();
+    let v = *vs.vocab();
+    let classes: Vec<TermId> = (0..MEMO_CLASSES)
+        .map(|i| vs.intern_iri(format!("http://x/C{i}")))
+        .collect();
+    let strangers = [vs.intern_iri("http://x/S0"), vs.intern_iri("http://x/S1")];
+    let mut s0 = TripleStore::new();
+    let chain = (1..MEMO_CLASSES).map(|i| (i, i - 1));
+    for (a, b) in chain.chain(edges.iter().copied()) {
+        let (a, b) = (a % MEMO_CLASSES, b % MEMO_CLASSES);
+        if a != b {
+            s0.insert(Triple::new(
+                classes[a as usize],
+                v.rdfs_subclassof,
+                classes[b as usize],
+            ));
+        }
+    }
+    let v0 = vs.commit_snapshot("v0", s0.clone());
+    let mut s1 = s0;
+    for &(i, class) in churn {
+        let inst = vs.intern_iri(format!("http://x/i{i}"));
+        s1.insert(Triple::new(
+            inst,
+            v.rdf_type,
+            classes[(class % MEMO_CLASSES) as usize],
+        ));
+    }
+    let v1 = vs.commit_snapshot("v1", s1);
+    (EvolutionContext::build(&vs, v0, v1), classes, strangers)
+}
+
+/// One scored item's key and scores, floats as bit patterns.
+type ItemBits = (String, TermId, [u64; 3]);
+
+fn item_bits(items: &[ScoredItem]) -> Vec<ItemBits> {
+    items
+        .iter()
+        .map(|s| {
+            (
+                s.item.measure.as_str().to_string(),
+                s.item.focus,
+                [
+                    s.relevance.to_bits(),
+                    s.novelty.to_bits(),
+                    s.objective.to_bits(),
+                ],
+            )
+        })
+        .collect()
+}
+
+/// Every scored field of a recommendation, floats as bit patterns.
+fn recommendation_bits(rec: &Recommendation) -> (Vec<ItemBits>, usize) {
+    (item_bits(&rec.items), rec.candidates_considered)
+}
+
+/// Every scored field of a group recommendation, floats as bit patterns.
+fn group_bits(rec: &GroupRecommendation) -> (Vec<ItemBits>, [u64; 4], usize) {
+    let f = &rec.fairness;
+    let fairness = [
+        f.min_satisfaction.to_bits(),
+        f.mean_satisfaction.to_bits(),
+        f.jain_index.to_bits(),
+        f.envy.to_bits(),
+    ];
+    (item_bits(&rec.items), fairness, rec.candidates_considered)
+}
+
+proptest! {
+    /// The expansion memo is invisible in the answers: over random
+    /// worlds and random profiles (plus one with no interests, one with
+    /// only off-graph interests — the raw-interest fallback —, a repeat
+    /// of the first, and two on the same classes with swapped weights),
+    /// a cached recommender's `recommend`, `batch().recommend_all` and
+    /// `recommend_for_group` are `to_bits`-identical to a fresh
+    /// uncached recommender's, on the first call and again when every
+    /// expansion is a memo hit.
+    #[test]
+    fn expansion_memo_answers_bit_identically(
+        edges in prop::collection::vec((0u32..8, 0u32..8), 0..10),
+        churn in prop::collection::vec((0u32..30, 0u32..8), 1..20),
+        specs in prop::collection::vec(prop::collection::vec((0u32..10, 0.0f64..2.0), 0..4), 1..5),
+    ) {
+        let (ctx, classes, strangers) = memo_world(&edges, &churn);
+        let mut profiles: Vec<UserProfile> = specs
+            .iter()
+            .enumerate()
+            .map(|(i, spec)| {
+                let mut profile = UserProfile::new(UserId(i as u32), format!("u{i}"));
+                for &(pick, weight) in spec {
+                    let term = match classes.get(pick as usize) {
+                        Some(&class) => class,
+                        None => strangers[pick as usize - classes.len()],
+                    };
+                    profile.set_interest(term, weight);
+                }
+                profile
+            })
+            .collect();
+        profiles.push(UserProfile::new(UserId(90), "none"));
+        profiles.push(
+            UserProfile::new(UserId(91), "strangers")
+                .with_interest(strangers[0], 1.0)
+                .with_interest(strangers[1], 0.5),
+        );
+        profiles.push(profiles[0].clone());
+        let last = classes[classes.len() - 1];
+        for (id, weights) in [(92, [1.0, 0.25]), (93, [0.25, 1.0])] {
+            profiles.push(
+                UserProfile::new(UserId(id), "ends")
+                    .with_interest(classes[0], weights[0])
+                    .with_interest(last, weights[1]),
+            );
+        }
+
+        let fresh = Recommender::new(MeasureRegistry::standard(), RecommenderConfig::default());
+        let singles: Vec<_> = profiles
+            .iter()
+            .map(|p| recommendation_bits(&fresh.recommend(&ctx, p)))
+            .collect();
+        let bulk: Vec<_> = fresh
+            .batch()
+            .recommend_all(&ctx, &profiles)
+            .iter()
+            .map(recommendation_bits)
+            .collect();
+        let group = group_bits(&fresh.recommend_for_group(&ctx, &profiles));
+
+        let cache = Arc::new(ReportCache::new());
+        let cached = Recommender::with_cache(
+            MeasureRegistry::standard(),
+            RecommenderConfig::default(),
+            Arc::clone(&cache),
+        );
+        for pass in 0..2 {
+            let misses = cache.stats().expansion_misses;
+            for (profile, want) in profiles.iter().zip(&singles) {
+                prop_assert_eq!(&recommendation_bits(&cached.recommend(&ctx, profile)), want);
+            }
+            let served: Vec<_> = cached
+                .batch()
+                .recommend_all(&ctx, &profiles)
+                .iter()
+                .map(recommendation_bits)
+                .collect();
+            prop_assert_eq!(&served, &bulk);
+            prop_assert_eq!(&group_bits(&cached.recommend_for_group(&ctx, &profiles)), &group);
+            if pass == 1 {
+                prop_assert_eq!(cache.stats().expansion_misses, misses, "second pass all hits");
+            }
+        }
+        // The memo was exercised whenever there was a pool to score, it
+        // holds at most one expansion per distinct seed set, and the
+        // fallback profiles never enter it.
+        if group.2 > 0 {
+            prop_assert!(cache.stats().expansion_hits > 0);
+        }
+        prop_assert!(cache.expansion_len() <= profiles.len() - 3);
+    }
 }
 
 proptest! {

@@ -105,7 +105,7 @@ impl AdaptiveRecommender {
         store.seed(profiles);
         let book = Arc::new(BanditBook::new());
         let log: Arc<FeedbackLog> = Arc::new(BoundedLog::bounded(options.feedback_capacity));
-        let worker = AdaptWorker::spawn_observed(
+        let worker = AdaptWorker::spawn(
             Arc::clone(&log),
             Arc::clone(&store),
             Arc::clone(&book),
@@ -155,12 +155,9 @@ impl AdaptiveRecommender {
         // serve counted, no phantom profile created.
         let ctx = self.served.context(window)?;
         // Serving is read-only: an unseeded user is answered from a
-        // transient blank profile (bit-identical to a stored blank
-        // one) and only enters the store once feedback arrives.
-        let profile = self
-            .store
-            .get(user)
-            .unwrap_or_else(|| Arc::new(UserProfile::new(user, user.to_string())));
+        // transient blank profile and only enters the store once
+        // feedback arrives.
+        let profile = self.store.get_or_blank(user);
         let serve_ix = self.serves.fetch_add(1, Ordering::Relaxed);
         let recommender = self.served.recommender();
         let tracer = self.tracer.as_deref();

@@ -72,6 +72,11 @@ pub fn decay_interests(profile: &mut UserProfile, factor: f64) {
     }
 }
 
+/// The profile of a user the store has never seen, named after the id.
+fn blank(user: UserId) -> UserProfile {
+    UserProfile::new(user, user.to_string())
+}
+
 /// A sharded map of `UserId → Arc<UserProfile>` with lock-light reads
 /// and copy-on-write updates.
 pub struct ProfileStore {
@@ -141,6 +146,14 @@ impl ProfileStore {
         self.shard(user).map.read().get(&user).cloned()
     }
 
+    /// The current snapshot of `user`'s profile, or the blank profile
+    /// first contact would create for a user the store has never seen.
+    /// Read-only: the blank is not stored and not counted as created,
+    /// so serving an unseeded user leaves the store as it was.
+    pub fn get_or_blank(&self, user: UserId) -> Arc<UserProfile> {
+        self.get(user).unwrap_or_else(|| Arc::new(blank(user)))
+    }
+
     /// Like [`get`](ProfileStore::get), but first contact publishes a
     /// blank profile (named after the id) so feedback from users the
     /// store was never seeded with is adapted on rather than dropped.
@@ -154,7 +167,7 @@ impl ProfileStore {
         if let Some(profile) = shard.map.read().get(&user) {
             return Arc::clone(profile);
         }
-        let fresh = Arc::new(UserProfile::new(user, user.to_string()));
+        let fresh = Arc::new(blank(user));
         shard.map.write().insert(user, Arc::clone(&fresh));
         self.auto_created.fetch_add(1, Ordering::Relaxed);
         fresh
@@ -171,7 +184,7 @@ impl ProfileStore {
             Some(profile) => Arc::clone(profile),
             None => {
                 self.auto_created.fetch_add(1, Ordering::Relaxed);
-                Arc::new(UserProfile::new(user, user.to_string()))
+                Arc::new(blank(user))
             }
         };
         let mut next = (*current).clone();
@@ -204,7 +217,7 @@ impl ProfileStore {
         let _writer = shard.writer.lock();
         let (current, created) = match shard.map.read().get(&user) {
             Some(profile) => (Arc::clone(profile), false),
-            None => (Arc::new(UserProfile::new(user, user.to_string())), true),
+            None => (Arc::new(blank(user)), true),
         };
         let mut next = (*current).clone();
         let mut applied = 0usize;
@@ -381,6 +394,23 @@ mod tests {
         assert_eq!(store.stats().auto_created, 2);
         assert_eq!(store.len(), 2);
         assert_eq!(store.users(), vec![UserId(9), UserId(10)]);
+    }
+
+    #[test]
+    fn get_or_blank_serves_the_first_contact_blank_without_storing_it() {
+        let store = ProfileStore::with_defaults();
+        store.insert(UserProfile::new(UserId(1), "seeded").with_interest(t(2), 1.0));
+        let blank = store.get_or_blank(UserId(900_001));
+        assert_eq!(blank.id, UserId(900_001));
+        assert_eq!(blank.name, "u900001");
+        assert_eq!(blank.interest_count(), 0);
+        assert_eq!(store.len(), 1);
+        assert_eq!(store.stats().auto_created, 0);
+        // A stored profile is served as its published snapshot.
+        let seeded = store.get_or_blank(UserId(1));
+        assert!(Arc::ptr_eq(&seeded, &store.get(UserId(1)).unwrap()));
+        // The blank is the profile first contact stores.
+        assert_eq!(store.get_or_create(UserId(900_001)).name, blank.name);
     }
 
     #[test]

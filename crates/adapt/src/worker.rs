@@ -71,20 +71,10 @@ pub struct AdaptWorker {
 impl AdaptWorker {
     /// Start a worker draining `log` in micro-batches of up to
     /// `max_batch` (clamped to ≥ 1), applying each event to `store`
-    /// (profile update) and `book` (bandit ledger).
+    /// (profile update) and `book` (bandit ledger). With a `tracer`,
+    /// each applied micro-batch is timed as one `feedback_apply` root
+    /// span; `None` is the zero-cost disabled mode.
     pub fn spawn(
-        log: Arc<FeedbackLog>,
-        store: Arc<ProfileStore>,
-        book: Arc<BanditBook>,
-        max_batch: usize,
-    ) -> AdaptWorker {
-        AdaptWorker::spawn_observed(log, store, book, max_batch, None)
-    }
-
-    /// [`spawn`](AdaptWorker::spawn) with span context: each applied
-    /// micro-batch is timed as one `feedback_apply` root span. `None`
-    /// is the zero-cost disabled mode.
-    pub fn spawn_observed(
         log: Arc<FeedbackLog>,
         store: Arc<ProfileStore>,
         book: Arc<BanditBook>,
@@ -281,6 +271,7 @@ mod tests {
             Arc::clone(&store),
             Arc::clone(&book),
             8,
+            None,
         );
         for i in 0..20 {
             let reaction = if i % 2 == 0 {
@@ -309,7 +300,7 @@ mod tests {
         let log: Arc<FeedbackLog> = Arc::new(BoundedLog::bounded(4));
         let store = Arc::new(ProfileStore::with_defaults());
         let book = Arc::new(BanditBook::new());
-        let worker = AdaptWorker::spawn(Arc::clone(&log), store, book, 4);
+        let worker = AdaptWorker::spawn(Arc::clone(&log), store, book, 4, None);
         worker.flush(); // nothing enqueued: immediate
         log.push(FeedbackEvent::new(
             UserId(2),
@@ -332,6 +323,7 @@ mod tests {
             Arc::clone(&store),
             Arc::clone(&book),
             16,
+            None,
         );
         let producers: Vec<_> = (0..4)
             .map(|p| {

@@ -43,6 +43,7 @@ fn flush_waits_for_every_prior_event() {
             Arc::clone(&store),
             Arc::clone(&book),
             2,
+            None,
         );
         log.push(event(1)).unwrap();
         log.push(event(2)).unwrap();

@@ -23,9 +23,8 @@ use crate::symbols::Symbols;
 
 /// The public serve surface: `(impl type, method prefix)` pairs.
 /// An empty prefix selects every method of the type.
-const ENTRY_POINTS: [(&str, &str); 13] = [
+const ENTRY_POINTS: [(&str, &str); 12] = [
     ("Recommender", "recommend"),
-    ("BatchRecommender", "recommend"),
     ("WindowedRecommender", "recommend"),
     ("WindowedRecommender", "trend_diff"),
     ("WindowedRecommender", "context"),

@@ -323,9 +323,9 @@ fn is_obs_plane(head: Option<&str>) -> bool {
 /// edge's latency histograms and `X-Evorec-Timing` headers, token
 /// buckets consume clock deltas, and permits/decisions are control
 /// flow — none of it feeds fingerprints, publishes, codecs or
-/// rankings. The engine calls the edge makes (`serve`, `batch`) take
-/// request *data*, which the source rules track independently of
-/// these types.
+/// rankings. The engine calls the edge makes (`serve`,
+/// `recommend_observed`) take request *data*, which the source rules
+/// track independently of these types.
 fn is_serve_plane(head: Option<&str>) -> bool {
     matches!(
         head,

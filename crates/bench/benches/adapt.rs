@@ -65,7 +65,7 @@ fn bench_feedback_throughput(c: &mut Criterion) {
                 let store = seeded_store();
                 let book = Arc::new(BanditBook::new());
                 let worker =
-                    AdaptWorker::spawn(Arc::clone(&log), store, Arc::clone(&book), 128);
+                    AdaptWorker::spawn(Arc::clone(&log), store, Arc::clone(&book), 128, None);
                 (log, worker, events.clone())
             },
             |(log, worker, events)| {

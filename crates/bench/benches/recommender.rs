@@ -1,7 +1,7 @@
 //! Criterion micro-benchmarks for the §III recommender pipeline:
 //! single-user and group recommendation, diversity selection, the
 //! k-anonymiser, and the amortised serving layer (report cache cold vs
-//! warm, batch fan-out vs sequential).
+//! warm).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use evorec_core::{
@@ -118,40 +118,6 @@ fn bench_cache(c: &mut Criterion) {
     );
 }
 
-/// 100 users against one context: per-request `recommend` loop vs the
-/// batch fan-out that shares the candidate pool and distance matrix.
-fn bench_batch(c: &mut Criterion) {
-    let world = curated_kb(200, 59);
-    let ctx = EvolutionContext::build(&world.kb.store, world.base(), world.head());
-    let recommender = Recommender::with_defaults(MeasureRegistry::standard());
-    let pool = &world.population.profiles;
-    let profiles: Vec<UserProfile> = (0..100).map(|i| pool[i % pool.len()].clone()).collect();
-    // Warm the context's memoised centralities once for both sides.
-    let _ = recommender.recommend(&ctx, &profiles[0]);
-
-    let mut group = c.benchmark_group("batch");
-    group.sample_size(10);
-    group.bench_function("sequential_100", |b| {
-        b.iter(|| {
-            let out: Vec<_> = profiles
-                .iter()
-                .map(|p| recommender.recommend(black_box(&ctx), p))
-                .collect();
-            black_box(out)
-        })
-    });
-    group.bench_function("batch_100", |b| {
-        b.iter(|| {
-            black_box(
-                recommender
-                    .batch()
-                    .recommend_all(black_box(&ctx), black_box(&profiles)),
-            )
-        })
-    });
-    group.finish();
-}
-
 fn bench_anonymise(c: &mut Criterion) {
     let world = clinical(150, 57);
     let parents = world.kb.parent_terms();
@@ -169,7 +135,6 @@ criterion_group!(
     bench_recommend,
     bench_selection,
     bench_cache,
-    bench_batch,
     bench_anonymise
 );
 criterion_main!(benches);

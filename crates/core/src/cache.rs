@@ -514,37 +514,22 @@ impl ReportCache {
         }
     }
 
-    /// Evaluate `registry` over `ctx`, serving whatever it can from the
-    /// cache and computing only the missing measures (in one parallel
-    /// registry pass), which are then inserted for the next request.
-    /// Reports come back in registration order.
+    /// Evaluate `registry` over `ctx`, serving each measure's report from
+    /// the cache and computing only the missing ones, which are then
+    /// inserted for the next request. Reports come back in registration
+    /// order.
     pub fn reports_for(
         &self,
         registry: &MeasureRegistry,
         ctx: &EvolutionContext,
     ) -> Vec<Arc<MeasureReport>> {
         let fingerprint = ctx.fingerprint();
-        let mut out: Vec<Option<Arc<MeasureReport>>> = Vec::with_capacity(registry.len());
-        let mut missing: Vec<usize> = Vec::new();
-        for (ix, measure) in registry.all().iter().enumerate() {
-            let cached = self.get(&measure.id(), fingerprint);
-            if cached.is_none() {
-                missing.push(ix);
-            }
-            out.push(cached);
-        }
-        if !missing.is_empty() {
-            let computed = registry.compute_indexed(ctx, &missing);
-            for (&ix, report) in missing.iter().zip(computed) {
-                out[ix] = Some(self.insert(fingerprint, report));
-            }
-        }
-        // Every slot is filled (cached or just computed); the fallback
-        // recomputes rather than panicking on the serving path.
-        out.into_iter()
-            .zip(registry.all().iter())
-            .map(|(r, measure)| {
-                r.unwrap_or_else(|| self.insert(fingerprint, measure.compute(ctx)))
+        registry
+            .all()
+            .iter()
+            .map(|measure| {
+                self.get(&measure.id(), fingerprint)
+                    .unwrap_or_else(|| self.insert(fingerprint, measure.compute(ctx)))
             })
             .collect()
     }

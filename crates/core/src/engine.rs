@@ -1,6 +1,6 @@
 //! The recommender engine: candidate generation → relatedness → diversity
-//! / fairness selection, plus the amortised serving layer (report cache
-//! + batch fan-out) that answers many requests against one context.
+//! / fairness selection, served through the report cache that answers
+//! many requests against one context.
 
 use crate::cache::{DerivedArtefacts, ReportCache};
 use crate::diversity::{select_mmr, swap_refine, DistanceMatrix, DistanceWeights};
@@ -154,8 +154,7 @@ impl Recommender {
     }
 
     /// Raw measure reports over `ctx`, in registration order — served
-    /// from the cache when one is attached, computed (in parallel)
-    /// otherwise.
+    /// from the cache when one is attached, computed otherwise.
     fn reports(&self, ctx: &EvolutionContext) -> Vec<Arc<MeasureReport>> {
         match &self.cache {
             Some(cache) => cache.reports_for(&self.registry, ctx),
@@ -375,16 +374,6 @@ impl Recommender {
         recommendation
     }
 
-    /// Answer many profiles against one context: the candidate pool and
-    /// distance matrix are computed once, then the per-user selections
-    /// fan out across worker threads. See [`BatchRecommender`].
-    pub fn batch(&self) -> BatchRecommender<'_> {
-        BatchRecommender {
-            recommender: self,
-            threads: default_worker_threads(),
-        }
-    }
-
     /// Rank whole *measures* (rather than `(measure, focus)` items) for
     /// one user — the paper's title-level operation: each measure is
     /// scored by how much of its top-`pool_per_measure` evolution mass
@@ -449,17 +438,6 @@ impl Recommender {
         ctx: &EvolutionContext,
         profiles: &[UserProfile],
     ) -> GroupRecommendation {
-        self.group_with_threads(ctx, profiles, 1)
-    }
-
-    /// The group pipeline with an explicit fan-out width for the
-    /// relevance-matrix rows (1 = serial; used by [`BatchRecommender`]).
-    fn group_with_threads(
-        &self,
-        ctx: &EvolutionContext,
-        profiles: &[UserProfile],
-        threads: usize,
-    ) -> GroupRecommendation {
         let derived = self.derived(ctx);
         let items = &derived.items;
         if items.is_empty() || profiles.is_empty() {
@@ -470,7 +448,10 @@ impl Recommender {
                 candidates_considered: items.len(),
             };
         }
-        let rows = self.effective_rows(ctx, profiles, items, threads);
+        let rows = profiles
+            .iter()
+            .map(|profile| self.score_items(ctx, profile, items).2)
+            .collect();
         let matrix = RelevanceMatrix::new(rows);
         let selection = select_for_group(&matrix, self.config.top_k, self.config.group_aggregation);
         let fairness = fairness_report(&matrix, &selection);
@@ -494,129 +475,6 @@ impl Recommender {
             strategy: self.config.group_aggregation,
             candidates_considered: items.len(),
         }
-    }
-
-    /// One effective-relevance row per profile over a shared item pool,
-    /// computed across up to `threads` scoped worker threads (row order
-    /// follows profile order regardless of the thread count).
-    fn effective_rows(
-        &self,
-        ctx: &EvolutionContext,
-        profiles: &[UserProfile],
-        items: &[Item],
-        threads: usize,
-    ) -> Vec<Vec<f64>> {
-        fan_out(profiles, threads, |profile| {
-            self.score_items(ctx, profile, items).2
-        })
-    }
-}
-
-/// Map `f` over `items`, fanning the work out across up to `threads`
-/// ways (contiguous chunks). The final chunk runs inline on the calling
-/// thread — which would otherwise idle in join — so only `threads − 1`
-/// workers are spawned. Results come back in item order; `threads <= 1`
-/// or a single item runs entirely inline with no spawn.
-fn fan_out<T: Sync, R: Send>(
-    items: &[T],
-    threads: usize,
-    f: impl Fn(&T) -> R + Sync,
-) -> Vec<R> {
-    let threads = threads.clamp(1, items.len().max(1));
-    if threads <= 1 {
-        return items.iter().map(f).collect();
-    }
-    let chunk = items.len().div_ceil(threads);
-    std::thread::scope(|scope| {
-        let f = &f;
-        let mut chunks: Vec<&[T]> = items.chunks(chunk).collect();
-        let Some(last) = chunks.pop() else {
-            return Vec::new();
-        };
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .map(|slice| scope.spawn(move || slice.iter().map(f).collect::<Vec<R>>()))
-            .collect();
-        let tail: Vec<R> = last.iter().map(f).collect();
-        let mut out: Vec<R> = handles
-            .into_iter()
-            .flat_map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-            .collect();
-        out.extend(tail);
-        out
-    })
-}
-
-/// Sensible worker-thread default for batch fan-out: the machine's
-/// available parallelism (1 if unknown).
-fn default_worker_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-/// Amortised many-users-one-context serving: the candidate pool,
-/// normalised reports and pairwise distance matrix are computed once
-/// (through the report cache when the underlying [`Recommender`] has
-/// one), and only the per-user work — profile expansion (memoised per
-/// step by the same cache), scoring, MMR + swap refinement — fans out
-/// across scoped worker threads.
-///
-/// Obtained from [`Recommender::batch`]; answers arrive in profile
-/// order, and each equals what [`Recommender::recommend`] would have
-/// returned for that profile alone.
-pub struct BatchRecommender<'a> {
-    recommender: &'a Recommender,
-    threads: usize,
-}
-
-impl BatchRecommender<'_> {
-    /// Override the worker-thread count (clamped to at least 1).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// The configured worker-thread count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Recommend for every profile against one shared context.
-    pub fn recommend_all(
-        &self,
-        ctx: &EvolutionContext,
-        profiles: &[UserProfile],
-    ) -> Vec<Recommendation> {
-        let r = self.recommender;
-        if profiles.is_empty() {
-            return Vec::new();
-        }
-        let derived = r.derived(ctx);
-        if derived.items.is_empty() {
-            return profiles
-                .iter()
-                .map(|_| Recommendation {
-                    items: Vec::new(),
-                    candidates_considered: 0,
-                })
-                .collect();
-        }
-        let distances = derived.distances();
-        fan_out(profiles, self.threads, |p| {
-            r.select_for_profile(ctx, p, &derived.items, distances, None)
-        })
-    }
-
-    /// Group recommendation with the relevance-matrix rows fanned out
-    /// across the batch's worker threads (identical output to
-    /// [`Recommender::recommend_for_group`]).
-    pub fn recommend_for_group(
-        &self,
-        ctx: &EvolutionContext,
-        profiles: &[UserProfile],
-    ) -> GroupRecommendation {
-        self.recommender.group_with_threads(ctx, profiles, self.threads)
     }
 }
 
@@ -926,63 +784,6 @@ mod tests {
             detail(&moved),
             detail(&recommender().recommend(&w.ctx, &profile))
         );
-    }
-
-    #[test]
-    fn batch_matches_sequential_recommend() {
-        let w = world();
-        let r = recommender();
-        let profiles: Vec<UserProfile> = (0..7)
-            .map(|i| {
-                let focus = if i % 2 == 0 { w.leaf_a } else { w.leaf_b };
-                UserProfile::new(UserId(i), format!("u{i}")).with_interest(focus, 1.0)
-            })
-            .collect();
-        let batched = r.batch().with_threads(3).recommend_all(&w.ctx, &profiles);
-        assert_eq!(batched.len(), profiles.len());
-        let keys = |rec: &Recommendation| {
-            rec.items
-                .iter()
-                .map(|s| (s.item.measure.as_str().to_string(), s.item.focus))
-                .collect::<Vec<_>>()
-        };
-        for (profile, rec) in profiles.iter().zip(&batched) {
-            let solo = r.recommend(&w.ctx, profile);
-            assert_eq!(keys(&solo), keys(rec), "user {:?}", profile.id);
-            assert_eq!(solo.candidates_considered, rec.candidates_considered);
-        }
-        // Degenerate widths behave.
-        let serial = r.batch().with_threads(1).recommend_all(&w.ctx, &profiles);
-        assert_eq!(serial.len(), profiles.len());
-        for (a, b) in batched.iter().zip(&serial) {
-            assert_eq!(keys(a), keys(b));
-        }
-        assert!(r.batch().recommend_all(&w.ctx, &[]).is_empty());
-        assert!(r.batch().with_threads(0).threads() >= 1);
-    }
-
-    #[test]
-    fn batch_group_matches_direct_group() {
-        let w = world();
-        let r = recommender();
-        let profiles = vec![
-            UserProfile::new(UserId(1), "a").with_interest(w.leaf_a, 1.0),
-            UserProfile::new(UserId(2), "b").with_interest(w.leaf_b, 1.0),
-            UserProfile::new(UserId(3), "ab")
-                .with_interest(w.branch_a, 0.5)
-                .with_interest(w.branch_b, 0.5),
-        ];
-        let direct = r.recommend_for_group(&w.ctx, &profiles);
-        let batched = r.batch().with_threads(2).recommend_for_group(&w.ctx, &profiles);
-        let keys = |rec: &GroupRecommendation| {
-            rec.items
-                .iter()
-                .map(|s| (s.item.measure.as_str().to_string(), s.item.focus))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(keys(&direct), keys(&batched));
-        assert_eq!(direct.fairness.jain_index, batched.fairness.jain_index);
-        assert_eq!(direct.strategy, batched.strategy);
     }
 
     #[test]

@@ -19,9 +19,7 @@
 //! layer amortises the expensive half of the pipeline: [`ReportCache`]
 //! memoises measure reports by `(measure, context fingerprint)` across
 //! requests, and each curator's PageRank interest expansion by step,
-//! configuration and seeds; [`BatchRecommender`] answers many profiles
-//! against one context with the per-user tail fanned out over worker
-//! threads.
+//! configuration and seeds.
 
 #![warn(missing_docs)]
 
@@ -44,10 +42,7 @@ pub use diversity::{
     category_coverage, intra_set_distance, select_mmr, set_objective, swap_refine,
     DistanceMatrix, DistanceWeights,
 };
-pub use engine::{
-    BatchRecommender, GroupRecommendation, Recommendation, Recommender, RecommenderConfig,
-    ScoreBoost,
-};
+pub use engine::{GroupRecommendation, Recommendation, Recommender, RecommenderConfig, ScoreBoost};
 pub use fairness::{
     fairness_report, select_for_group, FairnessReport, GroupAggregation, RelevanceMatrix,
 };

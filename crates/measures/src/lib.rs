@@ -36,7 +36,7 @@ pub use context::{ContextFingerprint, EvolutionContext};
 pub use extensions::{
     InstanceEntropyShift, PropertyImportanceShift, PropertyNeighbourhoodChangeCount,
 };
-pub use measure::{EvolutionMeasure, MeasureCategory, MeasureCost, MeasureId, TargetKind};
+pub use measure::{EvolutionMeasure, MeasureCategory, MeasureId, TargetKind};
 pub use neighbourhood::NeighbourhoodChangeCount;
 pub use registry::MeasureRegistry;
 pub use report::MeasureReport;

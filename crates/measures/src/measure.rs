@@ -91,22 +91,6 @@ pub enum TargetKind {
     Properties,
 }
 
-/// How expensive one [`EvolutionMeasure::compute`] call is, relative to
-/// the rest of the catalogue. The registry uses this hint to decide
-/// which measures are worth a dedicated worker thread: spawning costs
-/// more than a counting pass over the delta, so cheap measures always
-/// run inline.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
-pub enum MeasureCost {
-    /// Roughly linear in the delta / class count (counting passes,
-    /// degree sums). Never worth a thread of its own.
-    Cheap,
-    /// Superlinear in the graph (all-pairs shortest paths, multi-hop
-    /// BFS per class). Dispatched to a worker thread when the context
-    /// is large enough.
-    Heavy,
-}
-
 /// An evolution measure: a pure function from an [`EvolutionContext`] to
 /// a ranked score vector over schema elements, quantifying "the intensity
 /// of the changes that a piece of a knowledge base underwent".
@@ -121,11 +105,6 @@ pub trait EvolutionMeasure: Send + Sync {
     fn description(&self) -> String;
     /// Evaluate over one evolution step.
     fn compute(&self, ctx: &EvolutionContext) -> MeasureReport;
-    /// Cost hint steering the registry's parallel dispatch. Defaults to
-    /// [`MeasureCost::Cheap`]; override for superlinear measures.
-    fn cost(&self) -> MeasureCost {
-        MeasureCost::Cheap
-    }
 
     /// Incrementally maintain a report when the head of the evolution
     /// step advances (streaming ingestion: the window grows from

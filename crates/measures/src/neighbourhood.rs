@@ -8,7 +8,7 @@
 //! ablation.
 
 use crate::context::EvolutionContext;
-use crate::measure::{EvolutionMeasure, MeasureCategory, MeasureCost, MeasureId, TargetKind};
+use crate::measure::{EvolutionMeasure, MeasureCategory, MeasureId, TargetKind};
 use crate::report::MeasureReport;
 use evorec_graph::k_hop_neighbourhood;
 use evorec_kb::{FxHashSet, SchemaView, TermId};
@@ -68,16 +68,6 @@ impl EvolutionMeasure for NeighbourhoodChangeCount {
             })
             .collect();
         MeasureReport::from_scores(self.id(), self.category(), self.target(), scores)
-    }
-
-    fn cost(&self) -> MeasureCost {
-        // Radius 1 reads precomputed adjacency; larger radii BFS from
-        // every class.
-        if self.radius >= 2 {
-            MeasureCost::Heavy
-        } else {
-            MeasureCost::Cheap
-        }
     }
 
     /// Incremental maintenance: only the extension's r-hop *ripple set*

@@ -8,7 +8,7 @@
 //! there (appearing/disappearing is itself a topological event).
 
 use crate::context::EvolutionContext;
-use crate::measure::{EvolutionMeasure, MeasureCategory, MeasureCost, MeasureId, TargetKind};
+use crate::measure::{EvolutionMeasure, MeasureCategory, MeasureId, TargetKind};
 use crate::report::MeasureReport;
 use evorec_graph::SchemaGraph;
 use evorec_kb::TermId;
@@ -65,11 +65,6 @@ impl EvolutionMeasure for BetweennessShift {
         );
         MeasureReport::from_scores(self.id(), self.category(), self.target(), scores)
     }
-
-    fn cost(&self) -> MeasureCost {
-        // Brandes' accumulation is O(V·E) per version.
-        MeasureCost::Heavy
-    }
 }
 
 /// |BridgingCentrality_V2(n) − BridgingCentrality_V1(n)| per class.
@@ -102,11 +97,6 @@ impl EvolutionMeasure for BridgingShift {
             |_, u| after[u as usize],
         );
         MeasureReport::from_scores(self.id(), self.category(), self.target(), scores)
-    }
-
-    fn cost(&self) -> MeasureCost {
-        // Rides on the betweenness vectors (O(V·E) if not yet memoised).
-        MeasureCost::Heavy
     }
 }
 

@@ -9,7 +9,7 @@
 //! | Route | Verb | Does |
 //! |-------|------|------|
 //! | `/v1/recommend` | POST | one user, one window → scored items |
-//! | `/v1/recommend/bulk` | POST | many users fanned into `Recommender::batch`, per-row status |
+//! | `/v1/recommend/bulk` | POST | many users, one window, each row served as a single recommend; per-row status |
 //! | `/v1/feedback` | POST | curator reactions into the adapt feedback log (full log → 429) |
 //! | `/health` | GET | telemetry SLO health; `Critical` answers 503 |
 //! | `/metrics` | GET | Prometheus exposition of the shared registry |

@@ -35,7 +35,6 @@ use crate::json;
 use crate::stats::{Endpoint, ServerStats};
 use crate::wire;
 use evorec_adapt::AdaptiveRecommender;
-use evorec_core::UserProfile;
 use evorec_obs::{span, trace_json, Clock, MetricsRegistry, MonotonicClock, SpanHandle, Tracer};
 use evorec_stream::{BoundedLog, TryPushError};
 use evorec_telemetry::{HealthStatus, TelemetryCollector};
@@ -411,43 +410,34 @@ fn handle_bulk(core: &EdgeCore, body: &[u8], parent: SpanHandle) -> Response {
     let Some(ctx) = windowed.context(&req.window) else {
         return Response::error(404, &format!("unknown window '{}'", req.window));
     };
-    // Resolve profiles exactly as the single-serve path does: stored
-    // snapshot, else a transient blank (bit-identical to a stored
-    // blank one) — the fan-out must answer what N single calls would.
-    let profiles: Vec<UserProfile> = req
-        .rows
-        .iter()
-        .filter_map(|row| row.as_ref().ok())
-        .map(|&user| match core.adaptive.store().get(user) {
-            Some(p) => (*p).clone(),
-            None => UserProfile::new(user, user.0.to_string()),
-        })
-        .collect();
+    // Each row is answered as `recommend` answers its user alone, on
+    // this worker thread: the one context read above, the profile
+    // resolved by the single-serve rule, no exploration boost.
+    let recommender = windowed.recommender();
+    let store = core.adaptive.store();
     let tracer = core.tracer.as_deref();
     let guard = span(tracer, "bulk_fanout", parent);
-    let recs = windowed.recommender().batch().recommend_all(&ctx, &profiles);
+    let rows = guard.handle();
+    let answers: Vec<_> = req
+        .rows
+        .iter()
+        .map(|row| {
+            row.as_ref().map(|&user| {
+                let profile = store.get_or_blank(user);
+                (user, recommender.recommend_observed(&ctx, &profile, None, tracer, rows))
+            })
+        })
+        .collect();
     guard.finish();
     let mut out = String::from("{\"window\":");
     json::push_str_lit(&req.window, &mut out);
     out.push_str(",\"results\":[");
-    let mut next_rec = recs.iter().zip(profiles.iter());
-    for (i, row) in req.rows.iter().enumerate() {
+    for (i, answer) in answers.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        match row {
-            Ok(user) => match next_rec.next() {
-                Some((rec, _)) => wire::encode_recommendation(*user, &req.window, rec, &mut out),
-                // recommend_all answers one row per profile; this arm
-                // is unreachable but degrades to a row error.
-                None => wire::encode_row_error(
-                    &wire::WireError {
-                        field: format!("users[{i}]"),
-                        message: "missing result row".to_string(),
-                    },
-                    &mut out,
-                ),
-            },
+        match answer {
+            Ok((user, rec)) => wire::encode_recommendation(*user, &req.window, rec, &mut out),
             Err(e) => wire::encode_row_error(e, &mut out),
         }
     }

@@ -67,8 +67,8 @@ pub fn decode_recommend(doc: &Json) -> Result<RecommendRequest, WireError> {
 }
 
 /// One row of a bulk request: either a decoded user or a row-local
-/// error (the fan-out answers good rows and reports bad ones in
-/// place, per-row status instead of all-or-nothing).
+/// error (the edge answers good rows and reports bad ones in place,
+/// per-row status instead of all-or-nothing).
 pub type BulkRow = Result<UserId, WireError>;
 
 /// `POST /v1/recommend/bulk` — many users against one shared window.

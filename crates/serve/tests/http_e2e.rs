@@ -255,23 +255,15 @@ fn bulk_over_socket_matches_in_process_batch_with_per_row_status() {
         );
     }
 
-    // In-process twin of the fan-out, profiles resolved the same way.
+    // In-process twin: one `recommend` per good row against the one
+    // context, profiles resolved by the single-serve rule.
     let ctx = stack.windowed.context("all").expect("window exists");
-    let profiles: Vec<UserProfile> = [users[0], users[1], users[2], UserId(900_001)]
-        .iter()
-        .map(|&u| match stack.adaptive.store().get(u) {
-            Some(p) => (*p).clone(),
-            None => UserProfile::new(u, u.0.to_string()),
-        })
-        .collect();
-    let local = stack
-        .windowed
-        .recommender()
-        .batch()
-        .recommend_all(&ctx, &profiles);
-    for (row, rec) in [0usize, 2, 3, 4].iter().zip(local.iter()) {
-        let served = wire::decode_items(&rows[*row]).expect("row items");
-        assert_eq!(bits(&served), bits(&rec.items), "row {row}");
+    let good = [users[0], users[1], users[2], UserId(900_001)];
+    for (row, user) in [0usize, 2, 3, 4].into_iter().zip(good) {
+        let profile = stack.adaptive.store().get_or_blank(user);
+        let local = stack.windowed.recommender().recommend(&ctx, &profile);
+        let served = wire::decode_items(&rows[row]).expect("row items");
+        assert_eq!(bits(&served), bits(&local.items), "row {row}");
     }
 }
 

@@ -6,13 +6,12 @@
 //! because rebuilds happen entirely *before* [`LiveContext::publish`]
 //! swaps the pointer. When a serving pair (measure registry + report
 //! cache) is attached, each publish also pre-warms the catalogue into
-//! the cache — [`MeasureCost::Heavy`] measures are the point; counting
-//! measures ride along through incremental hooks that re-score only
-//! the O(|δ|) extension-touched terms — and then moves the handle's
-//! cache lineage to the fresh fingerprint, dropping the superseded
-//! fingerprint's entries unless another lineage still claims them.
-//!
-//! [`MeasureCost::Heavy`]: evorec_measures::MeasureCost::Heavy
+//! the cache, one measure after another — counting and neighbourhood
+//! measures through incremental hooks that re-score only the O(|δ|)
+//! extension-touched terms, the structural and semantic shifts by full
+//! compute — and then moves the handle's cache lineage to the fresh
+//! fingerprint, dropping the superseded fingerprint's entries unless
+//! another lineage still claims them.
 
 use evorec_core::{LineageId, ReportCache};
 use evorec_measures::{EvolutionContext, MeasureRegistry, MeasureReport};

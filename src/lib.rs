@@ -22,7 +22,7 @@
 //! | [`windows`] | `evorec-windows` | multi-window temporal serving: one epoch stream, many live views |
 //! | [`adapt`] | `evorec-adapt` | online adaptation: feedback streams, live profiles, bandit-blended serving |
 //! | [`telemetry`] | `evorec-telemetry` | telemetry history: ring TSDB, SLO health engine, flight recorder |
-//! | [`serve`] | `evorec-serve` | hand-rolled HTTP serving edge: bulk fan-out, feedback ingest, admission control |
+//! | [`serve`] | `evorec-serve` | hand-rolled HTTP serving edge: single and bulk recommend, feedback ingest, admission control |
 //! | [`synth`] | `evorec-synth` | synthetic KB / evolution / population workloads |
 //!
 //! ## Quickstart

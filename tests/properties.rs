@@ -112,10 +112,9 @@ proptest! {
     /// worlds and random profiles (plus one with no interests, one with
     /// only off-graph interests — the raw-interest fallback —, a repeat
     /// of the first, and two on the same classes with swapped weights),
-    /// a cached recommender's `recommend`, `batch().recommend_all` and
-    /// `recommend_for_group` are `to_bits`-identical to a fresh
-    /// uncached recommender's, on the first call and again when every
-    /// expansion is a memo hit.
+    /// a cached recommender's `recommend` and `recommend_for_group` are
+    /// `to_bits`-identical to a fresh uncached recommender's, on the
+    /// first call and again when every expansion is a memo hit.
     #[test]
     fn expansion_memo_answers_bit_identically(
         edges in prop::collection::vec((0u32..8, 0u32..8), 0..10),
@@ -159,12 +158,6 @@ proptest! {
             .iter()
             .map(|p| recommendation_bits(&fresh.recommend(&ctx, p)))
             .collect();
-        let bulk: Vec<_> = fresh
-            .batch()
-            .recommend_all(&ctx, &profiles)
-            .iter()
-            .map(recommendation_bits)
-            .collect();
         let group = group_bits(&fresh.recommend_for_group(&ctx, &profiles));
 
         let cache = Arc::new(ReportCache::new());
@@ -178,13 +171,6 @@ proptest! {
             for (profile, want) in profiles.iter().zip(&singles) {
                 prop_assert_eq!(&recommendation_bits(&cached.recommend(&ctx, profile)), want);
             }
-            let served: Vec<_> = cached
-                .batch()
-                .recommend_all(&ctx, &profiles)
-                .iter()
-                .map(recommendation_bits)
-                .collect();
-            prop_assert_eq!(&served, &bulk);
             prop_assert_eq!(&group_bits(&cached.recommend_for_group(&ctx, &profiles)), &group);
             if pass == 1 {
                 prop_assert_eq!(cache.stats().expansion_misses, misses, "second pass all hits");

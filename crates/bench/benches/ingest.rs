@@ -94,19 +94,13 @@ fn bench_swap_latency(c: &mut Criterion) {
         let stop = Arc::clone(&stop);
         let a = Arc::new(EvolutionContext::build(store, base, mid));
         let b = Arc::new(EvolutionContext::build(store, base, head));
-        let ext_ab = store.delta(mid, head);
-        let ext_ba = store.delta(head, mid);
         std::thread::spawn(move || {
             let mut flip = false;
             while !stop.load(Ordering::Relaxed) {
                 // Alternate between two epochs; each publish pre-warms
                 // the full catalogue and invalidates the other epoch.
-                let (next, ext) = if flip {
-                    (Arc::clone(&a), Arc::clone(&ext_ba))
-                } else {
-                    (Arc::clone(&b), Arc::clone(&ext_ab))
-                };
-                live.publish(next, Some(ext));
+                let next = if flip { &a } else { &b };
+                live.publish(Arc::clone(next));
                 flip = !flip;
             }
         })

@@ -63,7 +63,7 @@ fn bench_delta(c: &mut Criterion) {
     });
     let delta = LowLevelDelta::compute(&v1, &v2);
     c.bench_function("delta/apply_400c", |b| {
-        b.iter(|| black_box(delta.apply(black_box(&v1))))
+        b.iter(|| black_box(delta.apply(black_box(&v1).clone())))
     });
     c.bench_function("codec/encode_400c", |b| {
         b.iter(|| black_box(encode_delta(black_box(&delta))))

@@ -1,5 +1,6 @@
 //! Benchmarks for multi-window temporal serving: per-epoch
-//! window-advance latency and k-window fan-out throughput.
+//! window-advance latency and k-window fan-out throughput, without and
+//! with the serving pair whose warm passes compute the measures.
 //!
 //! The advance path is the acceptance-critical one: every window moves
 //! its span delta in place (`extend_by` each new epoch, `strip_front`
@@ -11,15 +12,19 @@
 //! set-up and is not timed. After the benches the harness prints the
 //! store's snapshot-diff count (zero: no window ever re-diffs two
 //! snapshots) and substrate count (one per epoch plus the seed's,
-//! whatever the window count) for one replay.
+//! whatever the window count) for one replay, and panics unless a
+//! served replay left every window's live step warm for every measure.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use evorec_core::ReportCache;
+use evorec_measures::MeasureRegistry;
 use evorec_stream::{EpochCommit, IngestorConfig};
 use evorec_synth::workload::streamed::committed_epochs;
 use evorec_synth::workload::{curated_kb, Workload};
 use evorec_versioning::{VersionId, VersionedStore};
 use evorec_windows::{WindowDef, WindowManager, WindowManagerOptions, WindowSpec};
 use std::hint::black_box;
+use std::sync::Arc;
 
 /// Micro-batch size the workload is replayed at (events per epoch).
 const MAX_BATCH: usize = 16;
@@ -36,18 +41,26 @@ fn commit_stream(world: &Workload) -> (VersionedStore, Vec<EpochCommit>) {
     (store, commits)
 }
 
+/// A registry and report cache for one served replay.
+type Serving = (Arc<MeasureRegistry>, Arc<ReportCache>);
+
 /// Replay `commits` through a manager over `defs` anchored at the seed
-/// head; returns the publish count.
-fn replay(store: &VersionedStore, commits: &[EpochCommit], defs: Vec<WindowDef>) -> u64 {
+/// head, with `serving` attached to every window if given.
+fn replay(
+    store: &VersionedStore,
+    commits: &[EpochCommit],
+    defs: Vec<WindowDef>,
+    serving: Option<Serving>,
+) -> WindowManager {
     let seed_head = VersionId::from_u32(0);
     let manager = WindowManager::new(store, seed_head, defs, WindowManagerOptions {
+        serving,
         head: Some(seed_head),
-        ..Default::default()
     });
     for commit in commits {
         manager.advance(store, commit);
     }
-    manager.stats().publishes
+    manager
 }
 
 /// The canonical curator set: last epoch, sliding band, since-clock,
@@ -72,19 +85,35 @@ fn bench_window_advance(c: &mut Criterion) {
     group.bench_function(format!("advance_4w_{epochs}epochs"), |b| {
         b.iter_batched(
             || commit_stream(&world),
-            |(store, commits)| black_box(replay(&store, &commits, four_windows())),
+            |(store, commits)| black_box(replay(&store, &commits, four_windows(), None)),
             BatchSize::PerIteration,
         )
     });
     group.finish();
     let (store, commits) = commit_stream(&world);
-    replay(&store, &commits, four_windows());
+    replay(&store, &commits, four_windows(), None);
     println!(
         "windows: {} snapshot diffs and {} substrates over one {epochs}-epoch \
          four-window replay (spans advance in place; one substrate per version)",
         store.delta_computations(),
         store.substrate_computations()
     );
+}
+
+/// `k` windows of mixed horizon: landmark, last epoch, sliding bands
+/// and since-clock windows in turn.
+fn mixed_windows(k: usize) -> Vec<WindowDef> {
+    (0..k)
+        .map(|i| {
+            let spec = match i % 4 {
+                0 => WindowSpec::Landmark,
+                1 => WindowSpec::LastEpoch,
+                2 => WindowSpec::SlidingEpochs(1 + i),
+                _ => WindowSpec::Since(3 + i as u64),
+            };
+            WindowDef::new(format!("w{i}"), spec)
+        })
+        .collect()
 }
 
 /// Fan-out throughput: the same epoch stream feeding 1, 4, and 8
@@ -95,21 +124,11 @@ fn bench_window_fanout(c: &mut Criterion) {
     let mut group = c.benchmark_group("windows");
     group.sample_size(10);
     for k in [1usize, 4, 8] {
-        let defs: Vec<WindowDef> = (0..k)
-            .map(|i| {
-                let spec = match i % 4 {
-                    0 => WindowSpec::Landmark,
-                    1 => WindowSpec::LastEpoch,
-                    2 => WindowSpec::SlidingEpochs(1 + i),
-                    _ => WindowSpec::Since(3 + i as u64),
-                };
-                WindowDef::new(format!("w{i}"), spec)
-            })
-            .collect();
+        let defs = mixed_windows(k);
         group.bench_function(format!("fanout_{k}w_{epochs}epochs"), |b| {
             b.iter_batched(
                 || commit_stream(&world),
-                |(store, commits)| black_box(replay(&store, &commits, defs.clone())),
+                |(store, commits)| black_box(replay(&store, &commits, defs.clone(), None)),
                 BatchSize::PerIteration,
             )
         });
@@ -117,5 +136,58 @@ fn bench_window_fanout(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_window_advance, bench_window_fanout);
+/// A fresh standard registry and an empty report cache.
+fn serving() -> Serving {
+    (
+        Arc::new(MeasureRegistry::standard()),
+        Arc::new(ReportCache::new()),
+    )
+}
+
+/// The eight-window fan-out with the serving pair attached, so every
+/// publish also warms the standard catalogue for its window: the
+/// measure work of the data path. Each iteration gets a fresh registry
+/// and cache besides the fresh store, set up untimed. The bench panics
+/// unless one replay leaves every window's live step cached for every
+/// measure, so it cannot time advances whose warm passes did nothing.
+fn bench_window_fanout_served(c: &mut Criterion) {
+    let world = curated_kb(120, 71);
+    let epochs = commit_stream(&world).1.len();
+    let defs = mixed_windows(8);
+    let mut group = c.benchmark_group("windows");
+    group.sample_size(10);
+    group.bench_function(format!("fanout_8w_served_{epochs}epochs"), |b| {
+        b.iter_batched(
+            || (commit_stream(&world), serving()),
+            |((store, commits), pair)| {
+                black_box(replay(&store, &commits, defs.clone(), Some(pair)))
+            },
+            BatchSize::PerIteration,
+        )
+    });
+    group.finish();
+    let (store, commits) = commit_stream(&world);
+    let (registry, cache) = serving();
+    let pair = (Arc::clone(&registry), Arc::clone(&cache));
+    let manager = replay(&store, &commits, defs, Some(pair));
+    let mut warm = 0;
+    for (name, _, live) in manager.windows() {
+        let fingerprint = live.current().fingerprint();
+        for id in registry.ids() {
+            assert!(
+                cache.contains(&id, fingerprint),
+                "window {name}: {id} is not cached for its live step {fingerprint}"
+            );
+            warm += 1;
+        }
+    }
+    println!("windows: {warm} (window, measure) reports cached after one served 8-window replay");
+}
+
+criterion_group!(
+    benches,
+    bench_window_advance,
+    bench_window_fanout,
+    bench_window_fanout_served
+);
 criterion_main!(benches);

@@ -1,4 +1,5 @@
-//! Breadth-first traversal: distances and k-hop neighbourhoods.
+//! Breadth-first traversal: distances, k-hop neighbourhoods and their
+//! sums.
 
 use crate::graph::{NodeIx, SchemaGraph};
 use std::collections::VecDeque;
@@ -53,6 +54,54 @@ pub fn k_hop_neighbourhood(g: &SchemaGraph, source: NodeIx, radius: u32) -> Vec<
     }
     out.sort_unstable();
     out
+}
+
+/// For every node `u`, the sum of `values` over `u`'s `radius`-hop
+/// neighbourhood, `u` itself excluded: [`k_hop_neighbourhood`] summed,
+/// for every source in one sweep. One visit stamp and two frontier
+/// vectors serve all sources, so the sweep allocates once rather than
+/// once per node, and nothing is sorted. Values are added in BFS order,
+/// not in ascending index order, so a sum equals the reference sum
+/// exactly when every partial sum is exact — integer counts below 2⁵³,
+/// for example. Each sum starts from −0.0, as [`Iterator::sum`] does, so
+/// an empty neighbourhood sums to −0.0 like the reference.
+///
+/// # Panics
+/// Panics unless `values` holds one value per node.
+pub fn k_hop_sums(g: &SchemaGraph, values: &[f64], radius: u32) -> Vec<f64> {
+    assert_eq!(values.len(), g.node_count(), "one value per node");
+    let mut sums = vec![-0.0; g.node_count()];
+    if radius == 0 {
+        return sums;
+    }
+    // `seen[v] == source`: `v` is already counted for `source`.
+    let mut seen = vec![NodeIx::MAX; g.node_count()];
+    let mut frontier: Vec<NodeIx> = Vec::new();
+    let mut next: Vec<NodeIx> = Vec::new();
+    for source in g.node_indexes() {
+        seen[source as usize] = source;
+        frontier.clear();
+        frontier.push(source);
+        let mut total = -0.0;
+        for _ in 0..radius {
+            for &u in &frontier {
+                for &v in g.neighbours(u) {
+                    if seen[v as usize] != source {
+                        seen[v as usize] = source;
+                        total += values[v as usize];
+                        next.push(v);
+                    }
+                }
+            }
+            if next.is_empty() {
+                break;
+            }
+            std::mem::swap(&mut frontier, &mut next);
+            next.clear();
+        }
+        sums[source as usize] = total;
+    }
+    sums
 }
 
 /// Graph eccentricity helpers: the largest finite BFS distance from
@@ -112,6 +161,19 @@ mod tests {
         for r in 0..4 {
             assert!(!k_hop_neighbourhood(&g, 2, r).contains(&2));
         }
+    }
+
+    #[test]
+    fn k_hop_sums_along_path() {
+        let g = path();
+        let values = [1.0, 2.0, 4.0, 8.0, 16.0];
+        assert_eq!(k_hop_sums(&g, &values, 0), vec![0.0; 5]);
+        assert_eq!(k_hop_sums(&g, &values, 1), vec![2.0, 5.0, 10.0, 4.0, 0.0]);
+        assert_eq!(k_hop_sums(&g, &values, 2), vec![6.0, 13.0, 11.0, 6.0, 0.0]);
+        assert_eq!(k_hop_sums(&g, &values, 9), vec![14.0, 13.0, 11.0, 7.0, 0.0]);
+        // The isolate's empty neighbourhood sums like `Iterator::sum`.
+        let empty: f64 = std::iter::empty::<f64>().sum();
+        assert_eq!(k_hop_sums(&g, &values, 1)[4].to_bits(), empty.to_bits());
     }
 
     #[test]

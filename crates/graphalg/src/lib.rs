@@ -5,8 +5,8 @@
 //!
 //! - [`SchemaGraph`] — a compact undirected class graph with
 //!   deterministic dense node indexes;
-//! - [`bfs_distances`] / [`k_hop_neighbourhood`] — traversal primitives
-//!   behind the neighbourhood measures of §II(b);
+//! - [`bfs_distances`] / [`k_hop_neighbourhood`] / [`k_hop_sums`] —
+//!   traversal primitives behind the neighbourhood measures of §II(b);
 //! - [`betweenness`] — exact Brandes betweenness (the §II(c)
 //!   Betweenness measure);
 //! - [`bridging_centrality`] — Hwang-style bridging centrality
@@ -25,7 +25,7 @@ mod graph;
 mod pagerank;
 
 pub use betweenness::{betweenness, betweenness_reference};
-pub use bfs::{bfs_distances, eccentricity, k_hop_neighbourhood, UNREACHABLE};
+pub use bfs::{bfs_distances, eccentricity, k_hop_neighbourhood, k_hop_sums, UNREACHABLE};
 pub use bridging::{
     bridging_centrality, bridging_centrality_with, bridging_coefficient,
     node_bridging_coefficient,

@@ -13,7 +13,8 @@
 //! - [`Vocab`] — pre-interned RDF/RDFS/OWL vocabulary;
 //! - [`SchemaView`] — the schema digest (classes, subsumption,
 //!   domain/range, instance extents, property-link counts) that the
-//!   evolution measures consume;
+//!   evolution measures consume, with its per-class
+//!   [`CentralityVectors`] and relevance memoised on first use;
 //! - [`query`] — conjunctive basic-graph-pattern queries with joins;
 //! - [`Graph`] — a single-snapshot convenience bundle.
 //!
@@ -37,7 +38,7 @@ pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use graph::Graph;
 pub use interner::TermInterner;
 pub use ntriples::ParseError;
-pub use schema::SchemaView;
+pub use schema::{CentralityVectors, SchemaView};
 pub use store::TripleStore;
 pub use term::{Term, TermId};
 pub use triple::{Triple, TriplePattern};

@@ -4,12 +4,33 @@
 //! the evolution measures of ICDE'17 §II consume: the class and property
 //! sets, the subsumption hierarchy, domain/range declarations, per-class
 //! instance extents, and instance-level property connection counts (the
-//! inputs to *relative cardinality* and the semantic centrality measures).
+//! inputs to *relative cardinality*), plus the §II(d) semantic
+//! importance of every class derived from them. Following Troullinou et
+//! al. ("Ontology understanding without tears", the paper's reference
+//! [15]):
+//!
+//! - the **relative cardinality** RC of a property between two classes is
+//!   the number of instance connections between them divided by the total
+//!   connections of the two classes' instances
+//!   ([`SchemaView::relative_cardinality`]);
+//! - the **in/out-centrality** of a class is the sum of relative
+//!   cardinalities of its incoming/outgoing properties
+//!   ([`SchemaView::centralities`]);
+//! - the **relevance** of a class combines its own centrality, its
+//!   neighbours' centralities, and its instance extent
+//!   ([`SchemaView::relevance`]):
+//!   `rel(n) = c(n) + mean_{m ∈ N(n)} c(m)` with
+//!   `c(x) = (Cin(x) + Cout(x)) · ln(1 + |instances(x)|)`.
+//!
+//! Centralities and relevance belong to the version, not to an
+//! evolution step, so a view computes each on first use and every step
+//! reading the view shares it.
 
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::store::TripleStore;
 use crate::term::TermId;
 use crate::vocab::Vocab;
+use std::sync::{Arc, OnceLock};
 
 /// An immutable schema-level digest of one snapshot.
 #[derive(Default, Clone, Debug)]
@@ -27,13 +48,12 @@ pub struct SchemaView {
     property_links: FxHashMap<TermId, FxHashMap<(TermId, TermId), u64>>,
     /// class → total instance connections its instances participate in.
     connection_totals: FxHashMap<TermId, u64>,
-    /// instance → the typed instances it shares a property link with
-    /// (either direction); the per-instance inverse of `property_links`,
-    /// used by incremental measure updates to bound how far a typing
-    /// change can ripple.
-    link_partners: FxHashMap<TermId, Vec<TermId>>,
     /// class ↔ class adjacency via subsumption or property connection.
     class_adj: FxHashMap<TermId, FxHashSet<TermId>>,
+    /// Memo of [`SchemaView::centralities`].
+    centralities: OnceLock<Arc<CentralityVectors>>,
+    /// Memo of [`SchemaView::relevance`].
+    relevance: OnceLock<Arc<FxHashMap<TermId, f64>>>,
 }
 
 impl SchemaView {
@@ -114,8 +134,6 @@ impl SchemaView {
             // instances carry one or two types in practice.
             let s_types = s_types.clone();
             let o_types = o_types.clone();
-            view.link_partners.entry(triple.s).or_default().push(triple.o);
-            view.link_partners.entry(triple.o).or_default().push(triple.s);
             let links = view.property_links.entry(triple.p).or_default();
             for &cs in &s_types {
                 for &co in &o_types {
@@ -128,11 +146,6 @@ impl SchemaView {
             for &co in &o_types {
                 *view.connection_totals.entry(co).or_insert(0) += 1;
             }
-        }
-
-        for list in view.link_partners.values_mut() {
-            list.sort_unstable();
-            list.dedup();
         }
 
         // Adjacency: subsumption edges plus property-connected class pairs
@@ -229,16 +242,6 @@ impl SchemaView {
         self.types_of.get(&instance).map_or(&[], Vec::as_slice)
     }
 
-    /// The typed instances `instance` shares a property link with, in
-    /// either direction (sorted by id, deduplicated). Only links whose
-    /// two endpoints are both typed contribute — the same condition
-    /// under which a link feeds class adjacency — so re-typing
-    /// `instance` can only change adjacency between its types and the
-    /// types of exactly these partners.
-    pub fn link_partners(&self, instance: TermId) -> &[TermId] {
-        self.link_partners.get(&instance).map_or(&[], Vec::as_slice)
-    }
-
     /// Number of instance links via `property` between `(subject_class,
     /// object_class)` instances.
     pub fn property_link_count(&self, property: TermId, sc: TermId, oc: TermId) -> u64 {
@@ -283,6 +286,39 @@ impl SchemaView {
         }
     }
 
+    /// The per-class in- and out-centralities of this view, computed on
+    /// first use and shared by every later reader.
+    pub fn centralities(&self) -> &Arc<CentralityVectors> {
+        self.centralities
+            .get_or_init(|| Arc::new(CentralityVectors::compute(self)))
+    }
+
+    /// The relevance of every class of this view (see the module docs
+    /// for the formula), computed on first use and shared by every later
+    /// reader.
+    pub fn relevance(&self) -> &Arc<FxHashMap<TermId, f64>> {
+        self.relevance.get_or_init(|| {
+            let centrality = self.centralities();
+            let weighted = |class: TermId| {
+                centrality.combined(class) * (1.0 + self.instance_count(class) as f64).ln()
+            };
+            let mut out = FxHashMap::default();
+            for &class in self.classes() {
+                let own = weighted(class);
+                let mut neighbours: Vec<TermId> = self.adjacent_classes(class).collect();
+                // Adjacency streams out of a hash set; sum in a fixed order.
+                neighbours.sort_unstable();
+                let neighbour_mean = if neighbours.is_empty() {
+                    0.0
+                } else {
+                    neighbours.iter().map(|&m| weighted(m)).sum::<f64>() / neighbours.len() as f64
+                };
+                out.insert(class, own + neighbour_mean);
+            }
+            Arc::new(out)
+        })
+    }
+
     /// Classes adjacent to `class` via a subsumption edge or a property
     /// connection (declared or observed) — the per-snapshot half of the
     /// paper's §II(b) neighbourhood.
@@ -306,6 +342,55 @@ impl SchemaView {
     /// Number of properties.
     pub fn property_count(&self) -> usize {
         self.properties.len()
+    }
+}
+
+/// Per-class in- and out-centrality vectors of one schema view
+/// ([`SchemaView::centralities`]).
+#[derive(Default, Clone, Debug)]
+pub struct CentralityVectors {
+    /// Sum of RC over incoming property connections, per class.
+    pub in_centrality: FxHashMap<TermId, f64>,
+    /// Sum of RC over outgoing property connections, per class.
+    pub out_centrality: FxHashMap<TermId, f64>,
+}
+
+impl CentralityVectors {
+    /// Compute both vectors in one pass over the view's property links.
+    fn compute(view: &SchemaView) -> CentralityVectors {
+        // Properties and pairs stream out of hash sets; accumulate the
+        // contributions in a fixed order so the float sums are
+        // bit-identical across runs.
+        let mut contributions: Vec<(TermId, TermId, f64)> = Vec::new();
+        for &p in view.properties() {
+            for ((cs, co), _count) in view.property_pairs(p) {
+                let rc = view.relative_cardinality(p, cs, co);
+                contributions.push((cs, co, rc));
+            }
+        }
+        contributions
+            .sort_unstable_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)).then(a.2.total_cmp(&b.2)));
+        let mut vectors = CentralityVectors::default();
+        for (cs, co, rc) in contributions {
+            *vectors.out_centrality.entry(cs).or_insert(0.0) += rc;
+            *vectors.in_centrality.entry(co).or_insert(0.0) += rc;
+        }
+        vectors
+    }
+
+    /// In-centrality of `class` (0 if unconnected).
+    pub fn cin(&self, class: TermId) -> f64 {
+        self.in_centrality.get(&class).copied().unwrap_or(0.0)
+    }
+
+    /// Out-centrality of `class` (0 if unconnected).
+    pub fn cout(&self, class: TermId) -> f64 {
+        self.out_centrality.get(&class).copied().unwrap_or(0.0)
+    }
+
+    /// Combined centrality Cin + Cout.
+    pub fn combined(&self, class: TermId) -> f64 {
+        self.cin(class) + self.cout(class)
     }
 }
 
@@ -384,23 +469,6 @@ mod tests {
             f,
             [person, student, teacher, course, teaches, alice, bob, algo],
         )
-    }
-
-    #[test]
-    fn link_partners_are_recorded_both_ways() {
-        let (mut f, [_, _, _, _, teaches, alice, bob, algo]) = university();
-        let v = f.view();
-        assert_eq!(v.link_partners(alice), &[algo]);
-        assert_eq!(v.link_partners(algo), &[alice]);
-        assert!(v.link_partners(bob).is_empty(), "no links for bob");
-        assert!(v.link_partners(teaches).is_empty(), "predicates have none");
-        // Duplicate links dedup; an untyped endpoint contributes none.
-        f.add(alice, teaches, algo);
-        let untyped = f.iri("mystery");
-        f.add(alice, teaches, untyped);
-        let v = f.view();
-        assert_eq!(v.link_partners(alice), &[algo]);
-        assert!(v.link_partners(untyped).is_empty());
     }
 
     #[test]

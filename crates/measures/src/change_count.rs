@@ -1,47 +1,12 @@
 //! §II(a): "Number of class or property changes" — δ(n) counting.
+//!
+//! Both measures read δ(n) from the step's shared change-count table
+//! ([`EvolutionContext::changes_for_term`]), which one pass over the
+//! delta fills for every term.
 
 use crate::context::EvolutionContext;
 use crate::measure::{EvolutionMeasure, MeasureCategory, MeasureId, TargetKind};
 use crate::report::MeasureReport;
-use evorec_kb::{FxHashMap, FxHashSet, TermId};
-use evorec_versioning::LowLevelDelta;
-
-/// Score maintenance shared by the two counting measures: only
-/// O(|extension|) terms are re-scored.
-///
-/// Both measures score a term by `ctx.delta.changes_for_term(term)`
-/// restricted to a membership set (classes or properties) read from the
-/// schema views. A term's score or membership can differ from the
-/// previous window only if some triple mentioning it changed
-/// δ-membership, and every such triple appears in `extension` — so it
-/// suffices to re-score exactly the terms the extension mentions and
-/// carry every other entry of `previous` over unchanged. (Re-packing
-/// the result into a sorted `MeasureReport` still costs O(n log n) on
-/// the full table; what the hook avoids is the per-term delta scans —
-/// `changes_for_term` over *every* class/property — that dominate a
-/// full recompute.)
-fn update_counting(
-    previous: &MeasureReport,
-    ctx: &EvolutionContext,
-    extension: &LowLevelDelta,
-    is_member: impl Fn(TermId) -> bool,
-) -> Vec<(TermId, f64)> {
-    let mut scores: FxHashMap<TermId, f64> = previous.scores().iter().copied().collect();
-    let mut touched: FxHashSet<TermId> = FxHashSet::default();
-    for triple in extension.added.iter().chain(extension.removed.iter()) {
-        touched.insert(triple.s);
-        touched.insert(triple.p);
-        touched.insert(triple.o);
-    }
-    for term in touched {
-        if is_member(term) {
-            scores.insert(term, ctx.delta.changes_for_term(term) as f64);
-        } else {
-            scores.remove(&term);
-        }
-    }
-    scores.into_iter().collect()
-}
 
 /// Scores every class by δ(n): the number of added/removed triples in
 /// which the class appears.
@@ -69,26 +34,9 @@ impl EvolutionMeasure for ClassChangeCount {
         let scores = ctx
             .all_classes()
             .into_iter()
-            .map(|c| (c, ctx.delta.changes_for_term(c) as f64))
+            .map(|c| (c, ctx.changes_for_term(c) as f64))
             .collect();
         MeasureReport::from_scores(self.id(), self.category(), self.target(), scores)
-    }
-
-    fn update(
-        &self,
-        previous: &MeasureReport,
-        ctx: &EvolutionContext,
-        extension: &LowLevelDelta,
-    ) -> Option<MeasureReport> {
-        let scores = update_counting(previous, ctx, extension, |t| {
-            ctx.before.is_class(t) || ctx.after.is_class(t)
-        });
-        Some(MeasureReport::from_scores(
-            self.id(),
-            self.category(),
-            self.target(),
-            scores,
-        ))
     }
 }
 
@@ -119,26 +67,9 @@ impl EvolutionMeasure for PropertyChangeCount {
         let scores = ctx
             .all_properties()
             .into_iter()
-            .map(|p| (p, ctx.delta.changes_for_term(p) as f64))
+            .map(|p| (p, ctx.changes_for_term(p) as f64))
             .collect();
         MeasureReport::from_scores(self.id(), self.category(), self.target(), scores)
-    }
-
-    fn update(
-        &self,
-        previous: &MeasureReport,
-        ctx: &EvolutionContext,
-        extension: &LowLevelDelta,
-    ) -> Option<MeasureReport> {
-        let scores = update_counting(previous, ctx, extension, |t| {
-            ctx.before.is_property(t) || ctx.after.is_property(t)
-        });
-        Some(MeasureReport::from_scores(
-            self.id(),
-            self.category(),
-            self.target(),
-            scores,
-        ))
     }
 }
 
@@ -207,66 +138,6 @@ mod tests {
         assert_eq!(r.target, TargetKind::Classes);
         let r = PropertyChangeCount.compute(&ctx);
         assert_eq!(r.target, TargetKind::Properties);
-    }
-
-    /// Three-version fixture for the incremental path: V0 → V1 is the
-    /// previous window, V0 → V2 the advanced one, V1 → V2 the extension.
-    /// The extension both adds churn on a fresh class and *cancels* a
-    /// V1 addition, exercising composed-delta semantics.
-    fn advancing_store() -> (VersionedStore, [evorec_versioning::VersionId; 3]) {
-        let mut vs = VersionedStore::new();
-        let a = vs.intern_iri("http://x/A");
-        let b = vs.intern_iri("http://x/B");
-        let c = vs.intern_iri("http://x/C");
-        let p = vs.intern_iri("http://x/p");
-        let x = vs.intern_iri("http://x/x");
-        let y = vs.intern_iri("http://x/y");
-        let v = *vs.vocab();
-        let mut s0 = TripleStore::new();
-        s0.insert(Triple::new(a, v.rdfs_subclassof, b));
-        s0.insert(Triple::new(x, v.rdf_type, a));
-        let v0 = vs.commit_snapshot("v0", s0.clone());
-        let mut s1 = s0;
-        s1.insert(Triple::new(y, v.rdf_type, a));
-        s1.insert(Triple::new(x, p, y));
-        let v1 = vs.commit_snapshot("v1", s1.clone());
-        let mut s2 = s1;
-        s2.remove(&Triple::new(y, v.rdf_type, a)); // cancels a V1 addition
-        s2.insert(Triple::new(c, v.rdfs_subclassof, b)); // new class
-        s2.insert(Triple::new(y, v.rdf_type, c));
-        let v2 = vs.commit_snapshot("v2", s2);
-        (vs, [v0, v1, v2])
-    }
-
-    #[test]
-    fn incremental_update_matches_recompute() {
-        let (vs, [v0, v1, v2]) = advancing_store();
-        let prev_ctx = EvolutionContext::build(&vs, v0, v1);
-        let next_ctx = EvolutionContext::build(&vs, v0, v2);
-        let extension = vs.delta(v1, v2);
-        for measure in [
-            &ClassChangeCount as &dyn EvolutionMeasure,
-            &PropertyChangeCount,
-        ] {
-            let previous = measure.compute(&prev_ctx);
-            let updated = measure
-                .update(&previous, &next_ctx, &extension)
-                .expect("counting measures update incrementally");
-            let recomputed = measure.compute(&next_ctx);
-            assert_eq!(updated.measure, recomputed.measure);
-            assert_eq!(updated.scores(), recomputed.scores(), "{}", updated.measure);
-        }
-    }
-
-    #[test]
-    fn incremental_update_handles_empty_extension() {
-        let (vs, [v0, v1, _]) = advancing_store();
-        let ctx = EvolutionContext::build(&vs, v0, v1);
-        let previous = ClassChangeCount.compute(&ctx);
-        let updated = ClassChangeCount
-            .update(&previous, &ctx, &LowLevelDelta::new())
-            .expect("update always available");
-        assert_eq!(updated.scores(), previous.scores());
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! Shared evaluation context for one evolution step.
 
 use evorec_graph::SchemaGraph;
-use evorec_kb::{FxHasher, SchemaView, TermId};
+use evorec_kb::{FxHashMap, FxHasher, SchemaView, TermId};
 use evorec_versioning::{
     ChangeSet, LowLevelDelta, StepEnd, VersionId, VersionSubstrate, VersionedStore,
 };
 use std::hash::Hasher;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A stable identity for one evolution step: the version pair plus a
 /// digest of the delta and the union class graph.
@@ -40,12 +40,15 @@ impl std::fmt::Display for ContextFingerprint {
 ///
 /// Measures are pure functions of this context. What belongs to the
 /// step — delta, high-level changes, union class graph, fingerprint —
-/// is built here; what belongs to one version — schema view, class
-/// graph, betweenness, bridging centrality, snapshot digest — is held
-/// as `Arc`s into the store's per-version caches
-/// ([`VersionedStore::schema_view`], [`VersionedStore::substrate`]), so
-/// every context over a version shares one copy, and a centrality is
-/// computed at most once per version however many steps read it.
+/// is built here, and the per-term change counts δ(n) on first use
+/// ([`changes_for_term`](EvolutionContext::changes_for_term)); what
+/// belongs to one version — schema view with its semantic
+/// centralities, class graph, betweenness, bridging centrality,
+/// snapshot digest — is held as `Arc`s into the store's per-version
+/// caches ([`VersionedStore::schema_view`],
+/// [`VersionedStore::substrate`]), so every context over a version
+/// shares one copy, and a centrality is computed at most once per
+/// version however many steps read it.
 pub struct EvolutionContext {
     /// The earlier version.
     pub from: VersionId,
@@ -69,6 +72,7 @@ pub struct EvolutionContext {
     fingerprint: ContextFingerprint,
     substrate_before: Arc<VersionSubstrate>,
     substrate_after: Arc<VersionSubstrate>,
+    change_counts: OnceLock<FxHashMap<TermId, usize>>,
 }
 
 impl EvolutionContext {
@@ -102,7 +106,33 @@ impl EvolutionContext {
             fingerprint,
             substrate_before,
             substrate_after,
+            change_counts: OnceLock::new(),
         }
+    }
+
+    /// δ(n): the number of triples of the step's delta, added or
+    /// removed, that mention `term` in any position — what
+    /// [`LowLevelDelta::changes_for_term`] returns, read from a table
+    /// built in one pass over the delta the first time any term is
+    /// asked for, so the counting and neighbourhood measures share one
+    /// scan per step.
+    pub fn changes_for_term(&self, term: TermId) -> usize {
+        let counts = self.change_counts.get_or_init(|| {
+            let mut counts = FxHashMap::default();
+            for t in self.delta.added.iter().chain(self.delta.removed.iter()) {
+                // A triple counts once per distinct term it mentions,
+                // as `TripleStore::mentioning` deduplicates it.
+                *counts.entry(t.s).or_insert(0) += 1;
+                if t.p != t.s {
+                    *counts.entry(t.p).or_insert(0) += 1;
+                }
+                if t.o != t.s && t.o != t.p {
+                    *counts.entry(t.o).or_insert(0) += 1;
+                }
+            }
+            counts
+        });
+        counts.get(&term).copied().unwrap_or(0)
     }
 
     /// Betweenness of the earlier class graph (memoised per version).
@@ -312,6 +342,24 @@ mod tests {
         assert!(Arc::ptr_eq(step.bridging_after(), back.bridging_before()));
         assert!(Arc::ptr_eq(step.bridging_before(), back.bridging_after()));
         assert_eq!(vs.substrate_computations(), 2, "one substrate per version");
+    }
+
+    #[test]
+    fn contexts_over_one_version_share_its_semantic_vectors() {
+        let (vs, v0, v1, _) = store();
+        let step = EvolutionContext::build(&vs, v0, v1);
+        let idle = EvolutionContext::build(&vs, v1, v1);
+        let back = EvolutionContext::build(&vs, v1, v0);
+        assert!(Arc::ptr_eq(
+            step.after.centralities(),
+            idle.before.centralities()
+        ));
+        assert!(Arc::ptr_eq(step.after.relevance(), idle.after.relevance()));
+        assert!(Arc::ptr_eq(
+            step.before.centralities(),
+            back.after.centralities()
+        ));
+        assert!(Arc::ptr_eq(step.before.relevance(), back.after.relevance()));
     }
 
     #[test]

@@ -107,7 +107,7 @@ impl EvolutionMeasure for PropertyNeighbourhoodChangeCount {
                 classes.dedup();
                 let total: usize = classes
                     .iter()
-                    .map(|&c| ctx.delta.changes_for_term(c))
+                    .map(|&c| ctx.changes_for_term(c))
                     .sum();
                 (p, total as f64)
             })

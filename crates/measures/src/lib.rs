@@ -40,7 +40,5 @@ pub use measure::{EvolutionMeasure, MeasureCategory, MeasureId, TargetKind};
 pub use neighbourhood::NeighbourhoodChangeCount;
 pub use registry::MeasureRegistry;
 pub use report::MeasureReport;
-pub use semantic::{
-    relevance_vector, CentralityVectors, InCentralityShift, OutCentralityShift, RelevanceShift,
-};
+pub use semantic::{InCentralityShift, OutCentralityShift, RelevanceShift};
 pub use structural::{BetweennessShift, BridgingShift, DegreeShift};

@@ -2,7 +2,6 @@
 
 use crate::context::EvolutionContext;
 use crate::report::MeasureReport;
-use evorec_versioning::LowLevelDelta;
 use std::fmt;
 
 /// Stable identifier of a measure (unique within a registry).
@@ -105,34 +104,6 @@ pub trait EvolutionMeasure: Send + Sync {
     fn description(&self) -> String;
     /// Evaluate over one evolution step.
     fn compute(&self, ctx: &EvolutionContext) -> MeasureReport;
-
-    /// Incrementally maintain a report when the head of the evolution
-    /// step advances (streaming ingestion: the window grows from
-    /// `V_from → V_head` to `V_from → V_head'`).
-    ///
-    /// Contract (the caller guarantees it): `previous` is this measure's
-    /// report over a context sharing `ctx.from`, and `extension` is the
-    /// delta between that context's head snapshot and `ctx`'s head
-    /// snapshot — so `ctx.delta` equals the previous delta composed with
-    /// `extension`. A triple changes δ-membership between the two
-    /// windows only if it appears in `extension`, which is what lets an
-    /// implementation re-score only the O(|extension|) touched terms
-    /// instead of scanning the delta for every element (re-packing the
-    /// report itself still costs a sort over the score table).
-    ///
-    /// Returns `None` when the measure cannot update incrementally
-    /// (the default); callers must then fall back to
-    /// [`compute`](EvolutionMeasure::compute). An implementation must
-    /// return exactly what `compute(ctx)` would.
-    fn update(
-        &self,
-        previous: &MeasureReport,
-        ctx: &EvolutionContext,
-        extension: &LowLevelDelta,
-    ) -> Option<MeasureReport> {
-        let _ = (previous, ctx, extension);
-        None
-    }
 }
 
 #[cfg(test)]

@@ -1,100 +1,19 @@
 //! §II(d): semantic-importance shift measures.
 //!
-//! Following Troullinou et al. ("Ontology understanding without tears",
-//! the paper's reference [15]):
-//!
-//! - the **relative cardinality** RC of a property between two classes is
-//!   the number of instance connections between them divided by the total
-//!   connections of the two classes' instances (computed by
-//!   [`SchemaView::relative_cardinality`](evorec_kb::SchemaView));
-//! - the **in/out-centrality** of a class is the sum of relative
-//!   cardinalities of its incoming/outgoing properties;
-//! - the **relevance** of a class combines its own centrality, its
-//!   neighbours' centralities, and its instance extent:
-//!   `rel(n) = c(n) + mean_{m ∈ N(n)} c(m)` with
-//!   `c(x) = (Cin(x) + Cout(x)) · ln(1 + |instances(x)|)`.
-//!
-//! Each measure scores classes by the absolute *shift* of the respective
-//! importance value between versions — "the cumulative effect of these
-//! changes on the class", which the paper argues is often superior to raw
-//! change counting.
+//! Each measure scores classes by the absolute *shift* of one of the
+//! per-class importance values of Troullinou et al. (the paper's
+//! reference [15]) between versions — in-centrality, out-centrality or
+//! relevance — "the cumulative effect of these changes on the class",
+//! which the paper argues is often superior to raw change counting.
+//! The values belong to one version, so the measures read them from
+//! each version's [`SchemaView`](evorec_kb::SchemaView)
+//! ([`centralities`](evorec_kb::SchemaView::centralities),
+//! [`relevance`](evorec_kb::SchemaView::relevance)), which computes
+//! them once and shares them with every step over that version.
 
 use crate::context::EvolutionContext;
 use crate::measure::{EvolutionMeasure, MeasureCategory, MeasureId, TargetKind};
 use crate::report::MeasureReport;
-use evorec_kb::{FxHashMap, SchemaView, TermId};
-
-/// Per-class in- and out-centrality vectors of one schema view.
-#[derive(Default, Clone, Debug)]
-pub struct CentralityVectors {
-    /// Sum of RC over incoming property connections, per class.
-    pub in_centrality: FxHashMap<TermId, f64>,
-    /// Sum of RC over outgoing property connections, per class.
-    pub out_centrality: FxHashMap<TermId, f64>,
-}
-
-impl CentralityVectors {
-    /// Compute both vectors in one pass over the view's property links.
-    pub fn compute(view: &SchemaView) -> CentralityVectors {
-        // Properties and pairs stream out of hash sets; accumulate the
-        // contributions in a fixed order so the float sums are
-        // bit-identical across runs.
-        let mut contributions: Vec<(TermId, TermId, f64)> = Vec::new();
-        for &p in view.properties() {
-            for ((cs, co), _count) in view.property_pairs(p) {
-                let rc = view.relative_cardinality(p, cs, co);
-                contributions.push((cs, co, rc));
-            }
-        }
-        contributions.sort_unstable_by(|a, b| {
-            (a.0, a.1).cmp(&(b.0, b.1)).then(a.2.total_cmp(&b.2))
-        });
-        let mut vectors = CentralityVectors::default();
-        for (cs, co, rc) in contributions {
-            *vectors.out_centrality.entry(cs).or_insert(0.0) += rc;
-            *vectors.in_centrality.entry(co).or_insert(0.0) += rc;
-        }
-        vectors
-    }
-
-    /// In-centrality of `class` (0 if unconnected).
-    pub fn cin(&self, class: TermId) -> f64 {
-        self.in_centrality.get(&class).copied().unwrap_or(0.0)
-    }
-
-    /// Out-centrality of `class` (0 if unconnected).
-    pub fn cout(&self, class: TermId) -> f64 {
-        self.out_centrality.get(&class).copied().unwrap_or(0.0)
-    }
-
-    /// Combined centrality Cin + Cout.
-    pub fn combined(&self, class: TermId) -> f64 {
-        self.cin(class) + self.cout(class)
-    }
-}
-
-/// The relevance of every class of a view (see module docs for the
-/// formula).
-pub fn relevance_vector(view: &SchemaView) -> FxHashMap<TermId, f64> {
-    let centrality = CentralityVectors::compute(view);
-    let weighted = |class: TermId| {
-        centrality.combined(class) * (1.0 + view.instance_count(class) as f64).ln()
-    };
-    let mut out = FxHashMap::default();
-    for &class in view.classes() {
-        let own = weighted(class);
-        let mut neighbours: Vec<TermId> = view.adjacent_classes(class).collect();
-        // Adjacency streams out of a hash set; sum in a fixed order.
-        neighbours.sort_unstable();
-        let neighbour_mean = if neighbours.is_empty() {
-            0.0
-        } else {
-            neighbours.iter().map(|&m| weighted(m)).sum::<f64>() / neighbours.len() as f64
-        };
-        out.insert(class, own + neighbour_mean);
-    }
-    out
-}
 
 /// |Cin_V2(n) − Cin_V1(n)| per class.
 #[derive(Default, Clone, Copy, Debug)]
@@ -119,8 +38,7 @@ impl EvolutionMeasure for InCentralityShift {
     }
 
     fn compute(&self, ctx: &EvolutionContext) -> MeasureReport {
-        let before = CentralityVectors::compute(&ctx.before);
-        let after = CentralityVectors::compute(&ctx.after);
+        let (before, after) = (ctx.before.centralities(), ctx.after.centralities());
         let scores = ctx
             .all_classes()
             .into_iter()
@@ -153,8 +71,7 @@ impl EvolutionMeasure for OutCentralityShift {
     }
 
     fn compute(&self, ctx: &EvolutionContext) -> MeasureReport {
-        let before = CentralityVectors::compute(&ctx.before);
-        let after = CentralityVectors::compute(&ctx.after);
+        let (before, after) = (ctx.before.centralities(), ctx.after.centralities());
         let scores = ctx
             .all_classes()
             .into_iter()
@@ -188,8 +105,7 @@ impl EvolutionMeasure for RelevanceShift {
     }
 
     fn compute(&self, ctx: &EvolutionContext) -> MeasureReport {
-        let before = relevance_vector(&ctx.before);
-        let after = relevance_vector(&ctx.after);
+        let (before, after) = (ctx.before.relevance(), ctx.after.relevance());
         let scores = ctx
             .all_classes()
             .into_iter()
@@ -206,7 +122,7 @@ impl EvolutionMeasure for RelevanceShift {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use evorec_kb::{Triple, TripleStore};
+    use evorec_kb::{TermId, Triple, TripleStore};
     use evorec_versioning::VersionedStore;
 
     struct Fixture {
@@ -267,7 +183,7 @@ mod tests {
     fn centrality_vectors_reflect_link_mass() {
         let (f, v0, _) = fixture();
         let view = f.vs.schema_view(v0);
-        let cv = CentralityVectors::compute(&view);
+        let cv = view.centralities();
         // V0: p has 2 links A→B, q has 1 link A→C.
         // conn totals: A = 3, B = 2, C = 1.
         // RC(p,A,B) = 2 / (3 + 2) = 0.4 → out(A) += .4, in(B) += .4
@@ -309,7 +225,7 @@ mod tests {
     fn relevance_combines_centrality_neighbours_and_instances() {
         let (f, v0, _) = fixture();
         let view = f.vs.schema_view(v0);
-        let rel = relevance_vector(&view);
+        let rel = view.relevance();
         // All three classes have nonzero relevance (A via own centrality,
         // B and C via own in-centrality and neighbour A).
         assert!(rel[&f.a] > 0.0);
@@ -334,8 +250,7 @@ mod tests {
         let _ = (f.p, f.q);
         let empty = evorec_kb::Graph::new();
         let view = empty.schema();
-        let cv = CentralityVectors::compute(&view);
-        assert!(cv.in_centrality.is_empty());
-        assert!(relevance_vector(&view).is_empty());
+        assert!(view.centralities().in_centrality.is_empty());
+        assert!(view.relevance().is_empty());
     }
 }

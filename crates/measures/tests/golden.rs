@@ -1,14 +1,16 @@
-//! Golden values for step fingerprints and structural-shift scores.
+//! Golden values for step fingerprints and measure scores.
 //!
 //! The bit-identity tests elsewhere compare two builds made by the same
-//! code, so a change to the step digest or to the centralities would
-//! move both sides together and go unseen. This test pins the exact
-//! `ContextFingerprint::digest` of several spans (forward, idle,
-//! reversed) and the `f64::to_bits` of the betweenness- and
-//! bridging-shift scores over one hand-built three-version history.
+//! code, so a change to the step digest, to the centralities or to a
+//! measure's inputs would move both sides together and go unseen. These
+//! tests pin the exact `ContextFingerprint::digest` of several spans
+//! (forward, idle, reversed) and the `(term id, f64::to_bits)` report of
+//! every standard measure over one hand-built three-version history.
 
 use evorec_kb::{Triple, TripleStore};
-use evorec_measures::{BetweennessShift, BridgingShift, EvolutionContext, EvolutionMeasure};
+use evorec_measures::{
+    BetweennessShift, BridgingShift, EvolutionContext, EvolutionMeasure, MeasureRegistry,
+};
 use evorec_versioning::{VersionId, VersionedStore};
 
 /// Three versions over eight classes: V0 is a two-branch hierarchy with
@@ -120,4 +122,272 @@ fn structural_shift_scores_are_pinned() {
             (0x0f, 0x3fad_41d4_1d41_d420),
         ]
     );
+}
+
+/// Every standard measure's report over V0 → V2, in registry order.
+const V0_V2: &[(&str, &[(u32, u64)])] = &[
+    (
+        "class-change-count",
+        &[
+            (0x10, 0x4008_0000_0000_0000),
+            (0x13, 0x4008_0000_0000_0000),
+            (0x11, 0x4000_0000_0000_0000),
+            (0x12, 0x3ff0_0000_0000_0000),
+            (0x0c, 0x0000_0000_0000_0000),
+            (0x0d, 0x0000_0000_0000_0000),
+            (0x0e, 0x0000_0000_0000_0000),
+            (0x0f, 0x0000_0000_0000_0000),
+        ],
+    ),
+    (
+        "property-change-count",
+        &[(0x15, 0x4000_0000_0000_0000), (0x14, 0x0000_0000_0000_0000)],
+    ),
+    (
+        "neighbourhood-change-count-r1",
+        &[
+            (0x13, 0x4014_0000_0000_0000),
+            (0x0d, 0x4008_0000_0000_0000),
+            (0x0e, 0x4008_0000_0000_0000),
+            (0x0f, 0x4008_0000_0000_0000),
+            (0x10, 0x4008_0000_0000_0000),
+            (0x11, 0x4008_0000_0000_0000),
+            (0x0c, 0x0000_0000_0000_0000),
+            (0x12, 0x0000_0000_0000_0000),
+        ],
+    ),
+    (
+        "neighbourhood-change-count-r2",
+        &[
+            (0x0d, 0x4022_0000_0000_0000),
+            (0x0f, 0x4022_0000_0000_0000),
+            (0x11, 0x401c_0000_0000_0000),
+            (0x0c, 0x4018_0000_0000_0000),
+            (0x0e, 0x4018_0000_0000_0000),
+            (0x10, 0x4014_0000_0000_0000),
+            (0x13, 0x4014_0000_0000_0000),
+            (0x12, 0x4000_0000_0000_0000),
+        ],
+    ),
+    (
+        "betweenness-shift",
+        &[
+            (0x11, 0x4012_0000_0000_0000),
+            (0x0c, 0x4004_0000_0000_0000),
+            (0x0e, 0x4004_0000_0000_0000),
+            (0x0f, 0x4000_0000_0000_0000),
+            (0x10, 0x3ff8_0000_0000_0000),
+            (0x12, 0x3ff8_0000_0000_0000),
+            (0x13, 0x3ff8_0000_0000_0000),
+            (0x0d, 0x3ff0_0000_0000_0000),
+        ],
+    ),
+    (
+        "bridging-shift",
+        &[
+            (0x0c, 0x3ffe_0000_0000_0000),
+            (0x11, 0x3ff4_9249_2492_4925),
+            (0x10, 0x3fec_cccc_cccc_ccce),
+            (0x13, 0x3fec_cccc_cccc_ccce),
+            (0x12, 0x3fea_6666_6666_6668),
+            (0x0d, 0x3fd0_0000_0000_0000),
+            (0x0e, 0x3fc0_0000_0000_0000),
+            (0x0f, 0x3fad_41d4_1d41_d420),
+        ],
+    ),
+    (
+        "degree-shift",
+        &[
+            (0x11, 0x4000_0000_0000_0000),
+            (0x13, 0x4000_0000_0000_0000),
+            (0x0f, 0x3ff0_0000_0000_0000),
+            (0x10, 0x3ff0_0000_0000_0000),
+            (0x0c, 0x0000_0000_0000_0000),
+            (0x0d, 0x0000_0000_0000_0000),
+            (0x0e, 0x0000_0000_0000_0000),
+            (0x12, 0x0000_0000_0000_0000),
+        ],
+    ),
+    (
+        "in-centrality-shift",
+        &[
+            (0x11, 0x3fe0_0000_0000_0000),
+            (0x12, 0x3fe0_0000_0000_0000),
+            (0x0c, 0x0000_0000_0000_0000),
+            (0x0d, 0x0000_0000_0000_0000),
+            (0x0e, 0x0000_0000_0000_0000),
+            (0x0f, 0x0000_0000_0000_0000),
+            (0x10, 0x0000_0000_0000_0000),
+            (0x13, 0x0000_0000_0000_0000),
+        ],
+    ),
+    (
+        "out-centrality-shift",
+        &[
+            (0x0c, 0x0000_0000_0000_0000),
+            (0x0d, 0x0000_0000_0000_0000),
+            (0x0e, 0x0000_0000_0000_0000),
+            (0x0f, 0x0000_0000_0000_0000),
+            (0x10, 0x0000_0000_0000_0000),
+            (0x11, 0x0000_0000_0000_0000),
+            (0x12, 0x0000_0000_0000_0000),
+            (0x13, 0x0000_0000_0000_0000),
+        ],
+    ),
+    (
+        "relevance-shift",
+        &[
+            (0x11, 0x3fdd_9303_fea2_f7e9),
+            (0x12, 0x3fd6_2e42_fefa_39ee),
+            (0x13, 0x3fc6_2e42_fefa_39ef),
+            (0x0f, 0x3fad_9303_fea2_f7e8),
+            (0x0c, 0x0000_0000_0000_0000),
+            (0x0d, 0x0000_0000_0000_0000),
+            (0x0e, 0x0000_0000_0000_0000),
+            (0x10, 0x0000_0000_0000_0000),
+        ],
+    ),
+];
+
+/// Every standard measure's report over V1 → V2, in registry order.
+const V1_V2: &[(&str, &[(u32, u64)])] = &[
+    (
+        "class-change-count",
+        &[
+            (0x10, 0x4008_0000_0000_0000),
+            (0x0d, 0x3ff0_0000_0000_0000),
+            (0x11, 0x3ff0_0000_0000_0000),
+            (0x12, 0x3ff0_0000_0000_0000),
+            (0x13, 0x3ff0_0000_0000_0000),
+            (0x0c, 0x0000_0000_0000_0000),
+            (0x0e, 0x0000_0000_0000_0000),
+            (0x0f, 0x0000_0000_0000_0000),
+        ],
+    ),
+    (
+        "property-change-count",
+        &[(0x15, 0x4000_0000_0000_0000), (0x14, 0x0000_0000_0000_0000)],
+    ),
+    (
+        "neighbourhood-change-count-r1",
+        &[
+            (0x13, 0x4010_0000_0000_0000),
+            (0x0d, 0x4008_0000_0000_0000),
+            (0x0f, 0x4008_0000_0000_0000),
+            (0x0e, 0x4000_0000_0000_0000),
+            (0x10, 0x4000_0000_0000_0000),
+            (0x0c, 0x3ff0_0000_0000_0000),
+            (0x11, 0x3ff0_0000_0000_0000),
+            (0x12, 0x0000_0000_0000_0000),
+        ],
+    ),
+    (
+        "neighbourhood-change-count-r2",
+        &[
+            (0x0f, 0x401c_0000_0000_0000),
+            (0x0c, 0x4018_0000_0000_0000),
+            (0x0d, 0x4018_0000_0000_0000),
+            (0x11, 0x4018_0000_0000_0000),
+            (0x13, 0x4014_0000_0000_0000),
+            (0x0e, 0x4010_0000_0000_0000),
+            (0x10, 0x4008_0000_0000_0000),
+            (0x12, 0x4000_0000_0000_0000),
+        ],
+    ),
+    (
+        "betweenness-shift",
+        &[
+            (0x0e, 0x4016_0000_0000_0000),
+            (0x0d, 0x4010_0000_0000_0000),
+            (0x0f, 0x4008_0000_0000_0000),
+            (0x12, 0x4004_0000_0000_0000),
+            (0x0c, 0x3ff8_0000_0000_0000),
+            (0x10, 0x3ff8_0000_0000_0000),
+            (0x13, 0x3ff8_0000_0000_0000),
+            (0x11, 0x3fe0_0000_0000_0000),
+        ],
+    ),
+    (
+        "bridging-shift",
+        &[
+            (0x12, 0x3ff6_cccc_cccc_ccce),
+            (0x0e, 0x3ff2_0000_0000_0000),
+            (0x10, 0x3fec_cccc_cccc_ccce),
+            (0x13, 0x3fec_cccc_cccc_ccce),
+            (0x0d, 0x3fe8_0000_0000_0000),
+            (0x0c, 0x3fe5_9999_9999_999c),
+            (0x0f, 0x3fe4_9249_2492_4926),
+            (0x11, 0x3fe2_db6d_b6db_6db6),
+        ],
+    ),
+    (
+        "degree-shift",
+        &[
+            (0x10, 0x4000_0000_0000_0000),
+            (0x0d, 0x3ff0_0000_0000_0000),
+            (0x0f, 0x3ff0_0000_0000_0000),
+            (0x11, 0x3ff0_0000_0000_0000),
+            (0x13, 0x3ff0_0000_0000_0000),
+            (0x0c, 0x0000_0000_0000_0000),
+            (0x0e, 0x0000_0000_0000_0000),
+            (0x12, 0x0000_0000_0000_0000),
+        ],
+    ),
+    (
+        "in-centrality-shift",
+        &[
+            (0x11, 0x3fe0_0000_0000_0000),
+            (0x12, 0x3fe0_0000_0000_0000),
+            (0x0c, 0x0000_0000_0000_0000),
+            (0x0d, 0x0000_0000_0000_0000),
+            (0x0e, 0x0000_0000_0000_0000),
+            (0x0f, 0x0000_0000_0000_0000),
+            (0x10, 0x0000_0000_0000_0000),
+            (0x13, 0x0000_0000_0000_0000),
+        ],
+    ),
+    (
+        "out-centrality-shift",
+        &[
+            (0x0c, 0x0000_0000_0000_0000),
+            (0x0d, 0x0000_0000_0000_0000),
+            (0x0e, 0x0000_0000_0000_0000),
+            (0x0f, 0x0000_0000_0000_0000),
+            (0x10, 0x0000_0000_0000_0000),
+            (0x11, 0x0000_0000_0000_0000),
+            (0x12, 0x0000_0000_0000_0000),
+            (0x13, 0x0000_0000_0000_0000),
+        ],
+    ),
+    (
+        "relevance-shift",
+        &[
+            (0x11, 0x3fdd_9303_fea2_f7e9),
+            (0x12, 0x3fd6_2e42_fefa_39ee),
+            (0x13, 0x3fc6_2e42_fefa_39ef),
+            (0x0d, 0x3fad_9303_fea2_f7ea),
+            (0x0f, 0x3fad_9303_fea2_f7e8),
+            (0x0c, 0x0000_0000_0000_0000),
+            (0x0e, 0x0000_0000_0000_0000),
+            (0x10, 0x0000_0000_0000_0000),
+        ],
+    ),
+];
+
+#[test]
+fn standard_measure_scores_are_pinned() {
+    let (vs, [v0, v1, v2]) = history();
+    let registry = MeasureRegistry::standard();
+    for (from, pinned) in [(v0, V0_V2), (v1, V1_V2)] {
+        let ctx = EvolutionContext::build(&vs, from, v2);
+        let pinned_ids: Vec<_> = pinned.iter().map(|&(id, _)| id.into()).collect();
+        assert_eq!(registry.ids(), pinned_ids, "registry order");
+        for (measure, &(id, bits)) in registry.all().iter().zip(pinned) {
+            assert_eq!(
+                score_bits(measure.as_ref(), &ctx),
+                bits,
+                "{id} over {from} → {v2}"
+            );
+        }
+    }
 }

@@ -6,16 +6,15 @@
 //! because rebuilds happen entirely *before* [`LiveContext::publish`]
 //! swaps the pointer. When a serving pair (measure registry + report
 //! cache) is attached, each publish also pre-warms the catalogue into
-//! the cache, one measure after another — counting and neighbourhood
-//! measures through incremental hooks that re-score only the O(|δ|)
-//! extension-touched terms, the structural and semantic shifts by full
-//! compute — and then moves the handle's cache lineage to the fresh
-//! fingerprint, dropping the superseded fingerprint's entries unless
-//! another lineage still claims them.
+//! the cache, computing each measure the cache does not yet hold for
+//! the fresh step, one after another, from inputs built once per
+//! version or per step (see [`EvolutionContext`]) — and then moves the
+//! handle's cache lineage to the fresh fingerprint, dropping the
+//! superseded fingerprint's entries unless another lineage still
+//! claims them.
 
 use evorec_core::{LineageId, ReportCache};
-use evorec_measures::{EvolutionContext, MeasureRegistry, MeasureReport};
-use evorec_versioning::LowLevelDelta;
+use evorec_measures::{EvolutionContext, MeasureRegistry};
 use sched::sync::atomic::{AtomicU64, Ordering};
 use sched::sync::{Mutex, RwLock};
 use std::sync::Arc;
@@ -97,14 +96,10 @@ impl LiveContext {
     }
 
     /// Publish `next` as the live context, then (with a serving pair)
-    /// warm it into the cache before returning.
-    ///
-    /// `extension` is the delta between the previous context's head and
-    /// `next`'s head, when the publisher knows it (the streaming
-    /// pipeline always does): it lets measures with incremental hooks
-    /// advance their previous cached reports in O(|extension|) instead
-    /// of recomputing.
-    pub fn publish(&self, next: Arc<EvolutionContext>, extension: Option<Arc<LowLevelDelta>>) {
+    /// warm it into the cache before returning: every registry measure
+    /// the cache does not already hold under `next`'s fingerprint is
+    /// computed over `next`, whatever step was live before.
+    pub fn publish(&self, next: Arc<EvolutionContext>) {
         // One publish at a time, so warm and lineage traffic hits the
         // cache in epoch order.
         let _serialised = self.publish_lock.lock();
@@ -114,7 +109,7 @@ impl LiveContext {
         };
         self.epoch.fetch_add(1, Ordering::AcqRel);
         if let Some(serving) = &self.serving {
-            warm_and_invalidate(serving, &previous, &next, extension.as_deref());
+            warm_and_invalidate(serving, &previous, &next);
         }
     }
 }
@@ -139,16 +134,15 @@ impl evorec_obs::MetricsSource for LiveContext {
     }
 }
 
-/// Compute (or incrementally advance) every report for `next` that the
-/// cache does not already hold — another lineage publishing the same
-/// step may have warmed it — then move the handle's lineage to `next`,
-/// dropping the superseded fingerprint's entries unless another lineage
-/// of the shared cache still claims them.
+/// Compute every report for `next` that the cache does not already
+/// hold — another lineage publishing the same step may have warmed it —
+/// then move the handle's lineage to `next`, dropping the superseded
+/// fingerprint's entries unless another lineage of the shared cache
+/// still claims them.
 fn warm_and_invalidate(
     serving: &ServingHandles,
     previous: &EvolutionContext,
     next: &EvolutionContext,
-    extension: Option<&LowLevelDelta>,
 ) {
     let old_fingerprint = previous.fingerprint();
     let new_fingerprint = next.fingerprint();
@@ -156,29 +150,10 @@ fn warm_and_invalidate(
         // Republishing the same step: entries are already warm.
         return;
     }
-    // The incremental hooks' contract requires the previous window to
-    // share the new one's origin; a publish that moves the origin
-    // (e.g. a rolling window) must recompute from scratch.
-    let extension = extension.filter(|_| previous.from == next.from);
-    let cold: Vec<_> = serving
-        .registry
-        .all()
-        .iter()
-        .filter(|m| !serving.cache.contains(&m.id(), new_fingerprint))
-        .collect();
-    // Grab the previous epoch's reports *before* invalidating them —
-    // they are the inputs of the incremental hooks.
-    let previous_reports: Vec<Option<Arc<MeasureReport>>> = cold
-        .iter()
-        .map(|m| serving.cache.get(&m.id(), old_fingerprint))
-        .collect();
-    for (measure, prev) in cold.into_iter().zip(previous_reports) {
-        let report = prev
-            .as_deref()
-            .zip(extension)
-            .and_then(|(p, ext)| measure.update(p, next, ext))
-            .unwrap_or_else(|| measure.compute(next));
-        serving.cache.insert(new_fingerprint, report);
+    for measure in serving.registry.all() {
+        if !serving.cache.contains(&measure.id(), new_fingerprint) {
+            serving.cache.insert(new_fingerprint, measure.compute(next));
+        }
     }
     serving
         .cache
@@ -231,7 +206,7 @@ mod tests {
         assert_eq!(live.epoch(), 0);
         assert!(Arc::ptr_eq(&live.current(), &first));
         let second = Arc::new(EvolutionContext::build(&vs, v(0), v(2)));
-        live.publish(Arc::clone(&second), None);
+        live.publish(Arc::clone(&second));
         assert_eq!(live.epoch(), 1);
         assert!(Arc::ptr_eq(&live.current(), &second));
     }
@@ -253,8 +228,7 @@ mod tests {
         assert_eq!(cache.len(), registry.len());
 
         let second = Arc::new(EvolutionContext::build(&vs, v(0), v(2)));
-        let extension = vs.delta(v(1), v(2));
-        live.publish(Arc::clone(&second), Some(extension));
+        live.publish(Arc::clone(&second));
         // Old fingerprint's entries replaced by the new epoch's.
         assert_eq!(cache.len(), registry.len());
         assert!(cache.stats().invalidations >= registry.len() as u64);
@@ -282,35 +256,9 @@ mod tests {
         );
         let _ = cache.reports_for(&registry, &ctx);
         let rebuilt = Arc::new(EvolutionContext::build(&vs, v(0), v(1)));
-        live.publish(rebuilt, None);
+        live.publish(rebuilt);
         assert_eq!(cache.stats().invalidations, 0);
         assert_eq!(cache.len(), registry.len());
-    }
-
-    #[test]
-    fn origin_change_bypasses_incremental_hooks() {
-        // The previous window v0→v1 does NOT share the new window's
-        // origin (v1→v2): even though an (irrelevant) extension is
-        // supplied, the warm pass must recompute from scratch — using
-        // the hooks here would cache wrong scores silently.
-        let vs = store();
-        let registry = Arc::new(MeasureRegistry::standard());
-        let cache = Arc::new(ReportCache::new());
-        let first = Arc::new(EvolutionContext::build(&vs, v(0), v(1)));
-        let live = LiveContext::with_serving(
-            Arc::clone(&first),
-            Arc::clone(&registry),
-            Arc::clone(&cache),
-            "live",
-        );
-        let _ = cache.reports_for(&registry, &first);
-        let rolled = Arc::new(EvolutionContext::build(&vs, v(1), v(2)));
-        live.publish(Arc::clone(&rolled), Some(vs.delta(v(1), v(2))));
-        let warm = cache.reports_for(&registry, &rolled);
-        for (report, measure) in warm.iter().zip(registry.all()) {
-            let fresh = measure.compute(&rolled);
-            assert_eq!(report.scores(), fresh.scores(), "{}", report.measure);
-        }
     }
 
     #[test]
@@ -338,14 +286,14 @@ mod tests {
         // A swaps away: B still claims the shared fingerprint, so its
         // entries stay resident alongside the fresh epoch's.
         let next = Arc::new(EvolutionContext::build(&vs, v(0), v(2)));
-        a.publish(Arc::clone(&next), Some(vs.delta(v(1), v(2))));
+        a.publish(Arc::clone(&next));
         assert_eq!(cache.len(), 2 * registry.len(), "old step retained");
         cache.reset_stats();
         let _ = cache.reports_for(&registry, &shared);
         assert_eq!(cache.stats().misses, 0, "B's step still warm");
 
         // B swaps too: nobody claims the old step, entries drop.
-        b.publish(Arc::clone(&next), Some(vs.delta(v(1), v(2))));
+        b.publish(Arc::clone(&next));
         assert_eq!(cache.len(), registry.len());
         let stats = cache.stats();
         assert_eq!(stats.lineages.len(), 2);
@@ -373,14 +321,14 @@ mod tests {
         let (pipeline, window) = (live("pipeline"), live("window"));
         let _ = cache.reports_for(&registry, &first);
         let next = Arc::new(EvolutionContext::build(&vs, v(0), v(2)));
-        pipeline.publish(Arc::clone(&next), Some(vs.delta(v(1), v(2))));
+        pipeline.publish(Arc::clone(&next));
         let warmed: Vec<_> = registry
             .all()
             .iter()
             .map(|m| cache.get(&m.id(), next.fingerprint()).expect("warm"))
             .collect();
         cache.reset_stats();
-        window.publish(Arc::clone(&next), Some(vs.delta(v(1), v(2))));
+        window.publish(Arc::clone(&next));
         assert_eq!(cache.stats().lookups(), 0, "no probe of the superseded step");
         for (report, measure) in warmed.iter().zip(registry.all()) {
             let served = cache.get(&measure.id(), next.fingerprint()).expect("still warm");
@@ -410,7 +358,7 @@ mod tests {
                 std::thread::spawn(move || {
                     for round in 0..10 {
                         let next = if (i + round) % 2 == 0 { &a } else { &b };
-                        live.publish(Arc::clone(next), None);
+                        live.publish(Arc::clone(next));
                     }
                 })
             })
@@ -443,7 +391,7 @@ mod tests {
             std::thread::spawn(move || {
                 for i in 0..500 {
                     let next = if i % 2 == 0 { &b } else { &a };
-                    live.publish(Arc::clone(next), None);
+                    live.publish(Arc::clone(next));
                 }
             })
         };

@@ -242,7 +242,7 @@ fn commit_and_publish(
         store.seed_delta(origin, commit.version, Arc::clone(landmark));
         let ctx = Arc::new(EvolutionContext::build(store, origin, commit.version));
         let publish = span(tracer, "publish", commit_handle);
-        live.publish(ctx, Some(Arc::clone(&commit.delta)));
+        live.publish(ctx);
         publish.finish();
         for sink in sinks {
             sink.on_epoch_observed(ingestor.store(), &commit, tracer, commit_handle);

@@ -47,7 +47,7 @@ fn epoch_visibility_implies_context_visibility() {
         let publisher = {
             let live = Arc::clone(&live);
             let second = Arc::clone(&second);
-            sched::thread::spawn(move || live.publish(second, None))
+            sched::thread::spawn(move || live.publish(second))
         };
         let reader = {
             let live = Arc::clone(&live);
@@ -95,7 +95,7 @@ fn concurrent_publishes_serialise() {
             .into_iter()
             .map(|next| {
                 let live = Arc::clone(&live);
-                sched::thread::spawn(move || live.publish(next, None))
+                sched::thread::spawn(move || live.publish(next))
             })
             .collect();
         for p in publishers {

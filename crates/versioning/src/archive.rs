@@ -136,7 +136,7 @@ impl Archive {
         for entry in &self.entries[base + 1..=target] {
             match entry {
                 Entry::Delta(d) => {
-                    current = d.apply(&current);
+                    current = d.apply(current);
                     steps += 1;
                 }
                 Entry::Snapshot(s) => {

@@ -82,17 +82,18 @@ impl LowLevelDelta {
     }
 
     /// Apply this delta to `base`, producing the successor snapshot.
+    /// `base` is taken by value and edited in place, so a caller that
+    /// keeps the predecessor pays for the one copy it asks for.
     ///
     /// Removals are applied before additions so a triple present in both
     /// sets ends up present (matching set semantics of `compute`, which
     /// never produces overlapping sets).
-    pub fn apply(&self, base: &TripleStore) -> TripleStore {
-        let mut next = base.clone();
+    pub fn apply(&self, mut base: TripleStore) -> TripleStore {
         for t in self.removed.iter() {
-            next.remove(&t);
+            base.remove(&t);
         }
-        next.extend(self.added.iter());
-        next
+        base.extend(self.added.iter());
+        base
     }
 
     /// The inverse delta (swapped added/removed): applying `d.invert()`
@@ -194,14 +195,14 @@ mod tests {
     fn apply_reconstructs_successor() {
         let (v1, v2) = snapshots();
         let d = LowLevelDelta::compute(&v1, &v2);
-        assert_eq!(d.apply(&v1), v2);
+        assert_eq!(d.apply(v1.clone()), v2);
     }
 
     #[test]
     fn invert_roundtrips() {
         let (v1, v2) = snapshots();
         let d = LowLevelDelta::compute(&v1, &v2);
-        assert_eq!(d.invert().apply(&v2), v1);
+        assert_eq!(d.invert().apply(v2), v1);
         assert_eq!(d.invert().invert(), d);
     }
 
@@ -233,7 +234,7 @@ mod tests {
         let v3 = TripleStore::from_triples([tr(1, 10, 2), tr(6, 12, 7), tr(8, 13, 9)]);
         let mut span = LowLevelDelta::compute(&v1, &v2);
         span.extend_by(&LowLevelDelta::compute(&v2, &v3));
-        assert_eq!(span.apply(&v1), v3);
+        assert_eq!(span.apply(v1.clone()), v3);
         // The extended span stays exact: added/removed are disjoint.
         for triple in span.added.iter() {
             assert!(!span.removed.contains(&triple));
@@ -250,7 +251,7 @@ mod tests {
         let mut span = LowLevelDelta::compute(&s0, &s1);
         span.extend_by(&LowLevelDelta::compute(&s1, &s0));
         assert!(span.is_empty());
-        assert_eq!(span.apply(&s0), s0);
+        assert_eq!(span.apply(s0.clone()), s0);
     }
 
     #[test]

@@ -122,7 +122,7 @@ impl VersionedStore {
             Some(head) => self.snapshots[head.index()].clone(),
             None => TripleStore::new(),
         };
-        let next = delta.apply(&base);
+        let next = delta.apply(base);
         let id = self.commit_snapshot(label, next);
         // Seed the cache: the delta between head-1 and head is known.
         if let Some(prev) = id.predecessor() {

@@ -104,9 +104,12 @@ struct ManagerState {
 ///
 /// Each window publishes through its own [`LiveContext`]; with a
 /// serving pair attached, all windows share one [`ReportCache`] under
-/// per-window lineages, each publish warms its window inline before
-/// the advance returns, and a window whose origin did not move hands
-/// the epoch delta to the incremental measure hooks.
+/// per-window lineages, and each publish warms its window inline
+/// before the advance returns. A warm pass computes only what the
+/// cache lacks under the window's fresh fingerprint, and its measures
+/// read the per-version inputs (schema views with their semantic
+/// centralities, substrates) every window shares and the per-step
+/// change counts its own context builds once.
 ///
 /// [`StreamPipeline`]: evorec_stream::StreamPipeline
 /// [`PipelineOptions::sinks`]: evorec_stream::PipelineOptions
@@ -302,16 +305,13 @@ impl WindowManager {
         );
         guard.head = commit.version;
         for (window, state) in self.windows.iter().zip(guard.windows.iter_mut()) {
-            let origin_moved =
-                self.advance_window(window, state, store, commit, epoch_from, timestamp);
-            self.publish_window(window, state, store, commit, origin_moved);
+            self.advance_window(window, state, store, commit, epoch_from, timestamp);
+            self.publish_window(window, state, store);
         }
         advance_span.finish();
     }
 
     /// Move one window's bounds and span delta for the new epoch.
-    /// Returns whether the window's `from` bound moved (which disables
-    /// the incremental measure hooks for this publish).
     fn advance_window(
         &self,
         window: &Window,
@@ -320,8 +320,7 @@ impl WindowManager {
         commit: &EpochCommit,
         epoch_from: VersionId,
         timestamp: u64,
-    ) -> bool {
-        let old_from = state.from;
+    ) {
         state.to = commit.version;
         match window.def.spec {
             WindowSpec::Landmark => {
@@ -369,33 +368,17 @@ impl WindowManager {
                 }
             }
         }
-        state.from != old_from
     }
 
     /// Seed the store's delta cache with the window's span delta and
     /// publish a freshly built context through its live handle.
-    fn publish_window(
-        &self,
-        window: &Window,
-        state: &WindowState,
-        store: &VersionedStore,
-        commit: &EpochCommit,
-        origin_moved: bool,
-    ) {
+    fn publish_window(&self, window: &Window, state: &WindowState, store: &VersionedStore) {
         // An idle span needs no seed: the store answers `v → v` empty.
         if state.from != state.to {
             store.seed_delta(state.from, state.to, Arc::clone(&state.span));
         }
         let ctx = Arc::new(EvolutionContext::build(store, state.from, state.to));
-        // Incremental hooks need an unmoved origin; LiveContext guards
-        // this too, but not handing the extension over at all saves the
-        // warm pass the check.
-        let extension = if origin_moved {
-            None
-        } else {
-            Some(Arc::clone(&commit.delta))
-        };
-        window.live.publish(ctx, extension);
+        window.live.publish(ctx);
         self.publishes.fetch_add(1, Ordering::Relaxed);
     }
 }

@@ -6,7 +6,9 @@ use evorec::core::{
     GroupRecommendation, Recommendation, Recommender, RecommenderConfig, ReportCache, ScoredItem,
     UserProfile,
 };
-use evorec::graph::{betweenness, betweenness_reference, SchemaGraph};
+use evorec::graph::{
+    betweenness, betweenness_reference, k_hop_neighbourhood, k_hop_sums, SchemaGraph,
+};
 use evorec::kb::{ntriples, FxHashMap, Term, TermId, Triple, TriplePattern, TripleStore};
 use evorec::measures::similarity;
 use evorec::measures::{EvolutionContext, MeasureRegistry};
@@ -230,8 +232,8 @@ proptest! {
         let v1 = TripleStore::from_triples(a);
         let v2 = TripleStore::from_triples(b);
         let delta = LowLevelDelta::compute(&v1, &v2);
-        prop_assert_eq!(&delta.apply(&v1), &v2);
-        prop_assert_eq!(&delta.invert().apply(&v2), &v1);
+        prop_assert_eq!(&delta.apply(v1.clone()), &v2);
+        prop_assert_eq!(&delta.invert().apply(v2.clone()), &v1);
         // Added and removed sets are disjoint by construction.
         for tr in delta.added.iter() {
             prop_assert!(!delta.removed.contains(&tr));
@@ -251,7 +253,7 @@ proptest! {
         let v3 = TripleStore::from_triples(c);
         let mut span = LowLevelDelta::compute(&v1, &v2);
         span.extend_by(&LowLevelDelta::compute(&v2, &v3));
-        prop_assert_eq!(span.apply(&v1), v3);
+        prop_assert_eq!(span.apply(v1), v3);
     }
 
     /// The in-place span algebra equals a direct diff after every
@@ -352,6 +354,57 @@ proptest! {
         let reference = betweenness_reference(&g);
         for (f, r) in fast.iter().zip(&reference) {
             prop_assert!((f - r).abs() < 1e-6, "brandes {f} vs reference {r}");
+        }
+    }
+
+    /// The one-sweep neighbourhood sums equal summing each node's
+    /// `k_hop_neighbourhood`, bit for bit, on random sparse graphs with
+    /// integer node values at radii 0–3.
+    #[test]
+    fn k_hop_sums_equal_per_node_neighbourhood_sums(
+        n in 1u32..14,
+        edge_draws in prop::collection::vec(0u32..4, 91),
+        values in prop::collection::vec(0u32..50, 14),
+    ) {
+        let mut edges = Vec::new();
+        let mut draw = 0;
+        for i in 0..n {
+            for j in (i + 1)..n {
+                if edge_draws[draw] == 0 {
+                    edges.push((t(i), t(j)));
+                }
+                draw += 1;
+            }
+        }
+        let g = SchemaGraph::from_edges((0..n).map(t).collect(), &edges);
+        let values: Vec<f64> = values[..n as usize].iter().map(|&v| f64::from(v)).collect();
+        for radius in 0..=3 {
+            let sums = k_hop_sums(&g, &values, radius);
+            for u in g.node_indexes() {
+                let reference: f64 = k_hop_neighbourhood(&g, u, radius)
+                    .into_iter()
+                    .map(|v| values[v as usize])
+                    .sum();
+                prop_assert_eq!(sums[u as usize].to_bits(), reference.to_bits(), "node {u} radius {radius}");
+            }
+        }
+    }
+
+    /// A context's one-pass change-count table answers δ(n) as the
+    /// delta's per-term scan does, for every term — including terms a
+    /// triple mentions in several positions, which the small universe
+    /// makes common.
+    #[test]
+    fn context_change_counts_equal_delta_scans(
+        a in arb_triples(6, 40),
+        b in arb_triples(6, 40),
+    ) {
+        let mut vs = VersionedStore::new();
+        let v0 = vs.commit_snapshot("v0", TripleStore::from_triples(a));
+        let v1 = vs.commit_snapshot("v1", TripleStore::from_triples(b));
+        let ctx = EvolutionContext::build(&vs, v0, v1);
+        for term in (0..8).map(t) {
+            prop_assert_eq!(ctx.changes_for_term(term), ctx.delta.changes_for_term(term), "{:?}", term);
         }
     }
 

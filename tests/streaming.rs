@@ -4,9 +4,8 @@
 //! events through the `Ingestor` is indistinguishable from the batch
 //! build — same snapshots, same deltas, same context fingerprints, and
 //! therefore same measure reports and recommendations. Plus the
-//! incremental-maintenance contract: the warm pass a `LiveContext`
-//! publish runs, which advances counting measures' reports by the
-//! extension delta, equals recomputing them from scratch.
+//! warm-pass contract: every report a `LiveContext` publish warms into
+//! the cache equals computing it over the published context.
 
 use evorec::core::ReportCache;
 use evorec::kb::{TermId, Triple, TripleStore};
@@ -25,8 +24,8 @@ fn t(n: u32) -> TermId {
 /// A random three-version store: subclass edges in V0, one instance
 /// churn batch landing in V1, a second (possibly overlapping, possibly
 /// removing) batch plus instance-level property links landing in V2.
-/// The links change class adjacency in the union graph — the case the
-/// neighbourhood measure's incremental hook must ripple through.
+/// The links change class adjacency in the union graph, which the
+/// neighbourhood measures read.
 fn random_world(
     edges: &[(u32, u32)],
     churn1: &[(u32, u32)],
@@ -169,12 +168,12 @@ proptest! {
         prop_assert_eq!(ingestor.store().snapshot(head), &expected);
     }
 
-    /// Incremental maintenance equals full recomputation: publishing
-    /// the v0→v2 window over a cache warm for v0→v1 advances each
-    /// cached report by the v1→v2 extension, and every report the
-    /// publish warms equals computing over the new window from scratch.
+    /// A publish warms exactly what `compute` returns: publishing the
+    /// v0→v2 window over a cache warm for v0→v1 caches every extended
+    /// measure under the new fingerprint, and each cached report equals
+    /// computing over the new window from scratch.
     #[test]
-    fn incremental_update_equals_recompute(
+    fn publish_warms_what_compute_returns(
         edges in prop::collection::vec((0u32..20, 0u32..20), 0..30),
         churn1 in prop::collection::vec((0u32..40, 0u32..20), 1..25),
         churn2 in prop::collection::vec((0u32..40, 0u32..20, any::<bool>()), 1..25),
@@ -190,9 +189,9 @@ proptest! {
             prev_ctx,
             Arc::clone(&registry),
             Arc::clone(&cache),
-            "incremental",
+            "warm",
         );
-        live.publish(Arc::clone(&next_ctx), Some(vs.delta(v1, v2)));
+        live.publish(Arc::clone(&next_ctx));
         for measure in registry.all() {
             let warmed = cache.get(&measure.id(), next_ctx.fingerprint());
             prop_assert!(warmed.is_some(), "publish warmed {}", measure.id());

@@ -25,10 +25,11 @@
 //! `is_obs_plane` below.
 //!
 //! **Sinks** are the replay surface: fingerprint construction
-//! (Order-sensitive), `LiveContext`/lineage publishes (Order), codec
-//! encodes (Order), and report/ranking emission. `from_scores` sorts
-//! its input with a total comparator, so it only fires on Value taint;
-//! raw report struct literals fire on either level.
+//! (Order-sensitive), `LiveContext` publishes and cache claim moves
+//! (Order), codec encodes (Order), and report/ranking emission.
+//! `from_scores` sorts its input with a total comparator, so it only
+//! fires on Value taint; raw report struct literals fire on either
+//! level.
 //!
 //! Propagation is interprocedural: each function gets a summary —
 //! which params flow to the return (and whether their taint is
@@ -234,7 +235,7 @@ fn call_sink(name: &str) -> Option<(&'static str, Level)> {
     match name {
         "digest_step" => Some(("taint-into-fingerprint", Level::Order)),
         "encode_delta" => Some(("taint-into-codec", Level::Order)),
-        "publish" | "publish_lineage" => Some(("taint-into-publish", Level::Order)),
+        "publish" | "move_claim" => Some(("taint-into-publish", Level::Order)),
         // `from_scores` sorts with a total comparator: sequence order
         // is erased, only value-level taint survives into the report.
         "from_scores" => Some(("taint-into-report", Level::Value)),

@@ -113,6 +113,25 @@ fn source_unseeded_rng_into_publish() {
 }
 
 #[test]
+fn source_clock_read_into_claim_move() {
+    let tainted = [src(
+        "crates/stream/src/m.rs",
+        "pub fn swap(cache: &ReportCache, old: u64) {\n\
+             let fresh = SystemTime::now();\n\
+             cache.move_claim(old, fresh);\n\
+         }",
+    )];
+    let clean = [src(
+        "crates/stream/src/m.rs",
+        "pub fn swap(cache: &ReportCache, old: u64) {\n\
+             let fresh = old + 1;\n\
+             cache.move_claim(old, fresh);\n\
+         }",
+    )];
+    assert_pair(&tainted, &clean, "taint-into-publish");
+}
+
+#[test]
 fn source_thread_identity_into_codec() {
     let tainted = [src(
         "crates/kb/src/c.rs",

@@ -86,7 +86,6 @@ fn bench_swap_latency(c: &mut Criterion) {
         Arc::new(EvolutionContext::build(store, base, head)),
         Arc::clone(&registry),
         Arc::clone(&cache),
-        "swap",
     ));
     let stop = Arc::new(AtomicBool::new(false));
     let publisher = {

@@ -62,12 +62,14 @@ fn bench_selection(c: &mut Criterion) {
     group.finish();
 }
 
-/// Cold vs warm serving over the same evolution step. Both sides
-/// rebuild the `EvolutionContext` per request (outside the timed
-/// region), so the cold/warm delta isolates exactly what the report
-/// cache amortises: the full measure-catalogue evaluation and the
-/// profile's PageRank interest expansion. The warm case panics if any
-/// of its requests expanded the profile anew.
+/// Cold vs warm serving over the same evolution step. The cold case
+/// rebuilds the `EvolutionContext` and clears the cache per request
+/// (outside the timed region), so it times the full measure-catalogue
+/// evaluation and the profile's PageRank interest expansion. The warm
+/// case times a loop of requests over one fresh context of the primed
+/// step (built untimed), so every request lands on the cached entries
+/// and the samples do not read whatever heap state a preceding rebuild
+/// left. It panics if any of its requests expanded the profile anew.
 fn bench_cache(c: &mut Criterion) {
     let world = curated_kb(200, 58);
     let store = &world.kb.store;
@@ -99,12 +101,10 @@ fn bench_cache(c: &mut Criterion) {
     let primed = EvolutionContext::build(store, base, head);
     let _ = recommender.recommend(&primed, &profile);
     let primed_stats = cache.stats();
+    let ctx = EvolutionContext::build(store, base, head);
+    group.sample_size(500);
     group.bench_function("recommend_warm_200c", |b| {
-        b.iter_batched(
-            || EvolutionContext::build(store, base, head),
-            |ctx| black_box(recommender.recommend(&ctx, &profile)),
-            BatchSize::PerIteration,
-        )
+        b.iter(|| black_box(recommender.recommend(&ctx, &profile)))
     });
     group.finish();
     let warm_stats = cache.stats();

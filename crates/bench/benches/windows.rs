@@ -9,11 +9,12 @@
 //! substrates. Each iteration replays the commit stream into a freshly
 //! built store, so its delta, schema and substrate caches start cold
 //! and the time is what a new epoch costs; building the stream is
-//! set-up and is not timed. After the benches the harness prints the
-//! store's snapshot-diff count (zero: no window ever re-diffs two
-//! snapshots) and substrate count (one per epoch plus the seed's,
-//! whatever the window count) for one replay, and panics unless a
-//! served replay left every window's live step warm for every measure.
+//! set-up and is not timed. After the benches the harness panics
+//! unless one replay diffed no snapshot pair (no window ever re-diffs
+//! two snapshots), prints that count and the substrate count (one per
+//! epoch plus the seed's, whatever the window count), and panics
+//! unless a served replay left every window's live step warm for every
+//! measure.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use evorec_core::ReportCache;
@@ -92,10 +93,15 @@ fn bench_window_advance(c: &mut Criterion) {
     group.finish();
     let (store, commits) = commit_stream(&world);
     replay(&store, &commits, four_windows(), None);
+    let diffs = store.delta_computations();
+    assert_eq!(
+        diffs, 0,
+        "a four-window replay diffed {diffs} snapshot pairs: some window advance \
+         rebuilt its span instead of moving it in place"
+    );
     println!(
-        "windows: {} snapshot diffs and {} substrates over one {epochs}-epoch \
+        "windows: {diffs} snapshot diffs and {} substrates over one {epochs}-epoch \
          four-window replay (spans advance in place; one substrate per version)",
-        store.delta_computations(),
         store.substrate_computations()
     );
 }

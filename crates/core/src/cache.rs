@@ -27,9 +27,13 @@
 //! expansion level once per user, and computes only scoring and MMR.
 //!
 //! Each level is one bounded first-in-first-out map behind one
-//! [`RwLock`]. All three support explicit invalidation of a superseded
-//! fingerprint (the streaming layer's epoch swap), with the
-//! eviction/invalidation traffic surfaced in [`CacheStats`].
+//! [`RwLock`]. Beside them the cache counts how many live views (the
+//! streaming pipeline's context, each temporal window) claim each step
+//! ([`ReportCache::claim`]). An epoch swap moves one claim from the
+//! superseded step to the fresh one ([`ReportCache::move_claim`]); once
+//! no view claims a step, its entries are dropped from all three
+//! levels. The eviction/invalidation traffic is surfaced in
+//! [`CacheStats`].
 
 use crate::diversity::{DistanceMatrix, DistanceWeights};
 use crate::item::Item;
@@ -40,10 +44,10 @@ use evorec_measures::{
     ContextFingerprint, EvolutionContext, MeasureId, MeasureRegistry, MeasureReport,
 };
 // `sched` primitives (std delegation normally, interposable under
-// `--cfg evorec_sched`) so the lineage-counter consistency protocol is
-// checkable by the deterministic interleaving harness.
+// `--cfg evorec_sched`) so the claim protocol is checkable by the
+// deterministic interleaving harness.
 use sched::sync::atomic::{AtomicU64, Ordering};
-use sched::sync::RwLock;
+use sched::sync::{Mutex, RwLock};
 use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, OnceLock};
@@ -251,27 +255,6 @@ impl<K: Clone + Eq + Hash, V: Clone> Fifo<K, V> {
     }
 }
 
-/// Identifier of one registered cache *lineage* — an independent
-/// consumer (e.g. one serving window) whose epoch swaps must not evict
-/// entries another lineage still serves. Obtained from
-/// [`ReportCache::register_lineage`].
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
-pub struct LineageId(usize);
-
-/// Per-lineage counters surfaced in [`CacheStats::lineages`].
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct LineageStats {
-    /// The label the lineage registered under.
-    pub label: String,
-    /// Report lookups that hit while landing on this lineage's claimed
-    /// fingerprint (a fingerprint claimed by several lineages credits
-    /// each of them).
-    pub hits: u64,
-    /// Entries dropped by this lineage's scoped invalidations
-    /// ([`ReportCache::publish_lineage`]).
-    pub invalidations: u64,
-}
-
 /// Cumulative counters of a [`ReportCache`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -290,12 +273,9 @@ pub struct CacheStats {
     /// Entries dropped by capacity pressure (every level, FIFO).
     pub evictions: u64,
     /// Entries dropped by explicit fingerprint invalidation, every
-    /// level: a [`ReportCache::publish_lineage`] that supersedes a
-    /// fingerprint no other lineage claims.
+    /// level: a [`ReportCache::move_claim`] that moves the last claim
+    /// off a step.
     pub invalidations: u64,
-    /// Per-lineage counters, registration order (empty when no lineage
-    /// is registered — the single-consumer setups).
-    pub lineages: Vec<LineageStats>,
 }
 
 impl CacheStats {
@@ -328,7 +308,9 @@ pub struct ReportCache {
     reports: RwLock<Fifo<CacheKey, Arc<MeasureReport>>>,
     derived: RwLock<Fifo<DerivedKey, Arc<DerivedArtefacts>>>,
     expansions: RwLock<Fifo<ExpansionKey, Arc<ExpandedProfile>>>,
-    lineages: RwLock<Vec<LineageState>>,
+    /// How many live views claim each step; a step no view claims has
+    /// no entry.
+    claims: Mutex<FxHashMap<ContextFingerprint, usize>>,
     hits: AtomicU64,
     misses: AtomicU64,
     derived_hits: AtomicU64,
@@ -336,16 +318,6 @@ pub struct ReportCache {
     expansion_hits: AtomicU64,
     expansion_misses: AtomicU64,
     evictions: AtomicU64,
-    invalidations: AtomicU64,
-}
-
-/// One registered lineage: its label, the fingerprint it currently
-/// serves, and counters (atomic so the hit path credits under a read
-/// lock).
-struct LineageState {
-    label: String,
-    claimed: Option<ContextFingerprint>,
-    hits: AtomicU64,
     invalidations: AtomicU64,
 }
 
@@ -368,7 +340,7 @@ impl ReportCache {
             reports: RwLock::new(Fifo::new(entries)),
             derived: RwLock::new(Fifo::new(DEFAULT_DERIVED_CAPACITY)),
             expansions: RwLock::new(Fifo::new(EXPANSION_CAPACITY)),
-            lineages: RwLock::new(Vec::new()),
+            claims: Mutex::new(FxHashMap::default()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             derived_hits: AtomicU64::new(0),
@@ -396,7 +368,7 @@ impl ReportCache {
         let found = self.reports.read().map.get(&key).cloned();
         match found {
             Some(report) => {
-                self.credit_hit(fingerprint);
+                self.hits.fetch_add(1, Ordering::Relaxed);
                 Some(report)
             }
             None => {
@@ -414,81 +386,38 @@ impl ReportCache {
         self.reports.read().map.contains_key(&key)
     }
 
-    /// Register an independent consumer — a serving window, a pipeline
-    /// — whose epoch swaps must be scoped to its own lineage. Returns
-    /// the id used with [`claim_lineage`](ReportCache::claim_lineage)
-    /// and [`publish_lineage`](ReportCache::publish_lineage).
-    pub fn register_lineage(&self, label: impl Into<String>) -> LineageId {
-        let mut guard = self.lineages.write();
-        guard.push(LineageState {
-            label: label.into(),
-            claimed: None,
-            hits: AtomicU64::new(0),
-            invalidations: AtomicU64::new(0),
-        });
-        LineageId(guard.len() - 1)
+    /// Add one claim on the step identified by `fingerprint`: one more
+    /// live view serves it, so no other view's
+    /// [`move_claim`](ReportCache::move_claim) drops its entries until
+    /// this claim moves too.
+    pub fn claim(&self, fingerprint: ContextFingerprint) {
+        *self.claims.lock().entry(fingerprint).or_insert(0) += 1;
     }
 
-    /// Record that `lineage` currently serves the step identified by
-    /// `fingerprint` (without invalidating anything) — the initial
-    /// claim before the first epoch swap.
-    ///
-    /// # Panics
-    /// Panics if `lineage` was not registered with this cache.
-    pub fn claim_lineage(&self, lineage: LineageId, fingerprint: ContextFingerprint) {
-        self.lineages.write()[lineage.0].claimed = Some(fingerprint);
-    }
-
-    /// An epoch swap scoped to one lineage: move `lineage`'s claim from
-    /// `superseded` to `fresh`, then drop `superseded`'s entries (every
-    /// level) **only if no other lineage still claims it** — the
-    /// shared-cache safety multi-window serving needs: one window's
-    /// swap never evicts the artefacts another window still serves.
-    /// Returns how many entries were removed (0 when the fingerprint
-    /// survives under another claim, or when `superseded == fresh`).
-    ///
-    /// # Panics
-    /// Panics if `lineage` was not registered with this cache.
-    pub fn publish_lineage(
-        &self,
-        lineage: LineageId,
-        superseded: ContextFingerprint,
-        fresh: ContextFingerprint,
-    ) -> usize {
-        // The write lock is held across the eviction so a concurrent
-        // claim of `superseded` cannot slip between the check and the
-        // removal.
-        let mut guard = self.lineages.write();
-        guard[lineage.0].claimed = Some(fresh);
+    /// An epoch swap of one live view: move one claim from
+    /// `superseded` to `fresh`. When that leaves `superseded` with no
+    /// claim, its entries are dropped on every level — the shared-cache
+    /// safety multi-window serving needs: one window's swap never
+    /// evicts what another window still serves. Returns how many
+    /// entries were dropped (0 when another view still claims
+    /// `superseded`, or when `superseded == fresh`).
+    pub fn move_claim(&self, superseded: ContextFingerprint, fresh: ContextFingerprint) -> usize {
         if superseded == fresh {
             return 0;
         }
-        if guard.iter().any(|s| s.claimed == Some(superseded)) {
-            return 0;
-        }
-        let removed = self.invalidate_fingerprint(superseded);
-        guard[lineage.0]
-            .invalidations
-            .fetch_add(removed as u64, Ordering::Relaxed);
-        removed
-    }
-
-    /// Count a report-level hit: the global tally, plus a credit to
-    /// every lineage currently claiming `fingerprint`.
-    ///
-    /// The global bump and every lineage credit happen under one hold
-    /// of the lineages read lock — and [`stats`](ReportCache::stats)
-    /// snapshots under the *write* lock — so no snapshot can observe a
-    /// hit credited to lineage A but not to co-claiming lineage B, or
-    /// counted globally but missing from its lineages.
-    fn credit_hit(&self, fingerprint: ContextFingerprint) {
-        let guard = self.lineages.read();
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        for state in guard.iter() {
-            if state.claimed == Some(fingerprint) {
-                state.hits.fetch_add(1, Ordering::Relaxed);
+        // The lock is held across the drop, so a concurrent claim of
+        // `superseded` cannot slip between the count reaching zero and
+        // the removal.
+        let mut claims = self.claims.lock();
+        *claims.entry(fresh).or_insert(0) += 1;
+        if let Some(count) = claims.get_mut(&superseded) {
+            *count -= 1;
+            if *count > 0 {
+                return 0;
             }
+            claims.remove(&superseded);
         }
+        self.invalidate_fingerprint(superseded)
     }
 
     /// Store `report` under its own measure id and `fingerprint`,
@@ -594,8 +523,7 @@ impl ReportCache {
 
     /// Drop every entry — report, derived and expansion level —
     /// belonging to the step identified by `fingerprint`, returning how
-    /// many were removed.
-    /// [`publish_lineage`](ReportCache::publish_lineage) calls
+    /// many were removed. [`move_claim`](ReportCache::move_claim) calls
     /// this on epoch swap so entries of superseded contexts stop
     /// occupying capacity (holders of the shared `Arc`s keep their
     /// copies alive, of course).
@@ -654,18 +582,10 @@ impl ReportCache {
     }
 
     /// Cumulative counters since construction (or the last
-    /// [`reset_stats`](ReportCache::reset_stats)), as one consistent
-    /// snapshot.
-    ///
-    /// The lineages **write** lock is held across every load: it
-    /// excludes both in-flight hit credits (which run under the read
-    /// lock, see `credit_hit`) and lineage
-    /// publishes (which hold the write lock across the eviction and
-    /// both invalidation tallies), so the snapshot never shows a hit or
-    /// invalidation split across the global and per-lineage counters.
-    /// Pinned by the `sched_cache` interleaving models.
+    /// [`reset_stats`](ReportCache::reset_stats)). Each counter is read
+    /// on its own: every event bumps exactly one of them, so no
+    /// snapshot can see an event half counted.
     pub fn stats(&self) -> CacheStats {
-        let lineages = self.lineages.write();
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
@@ -675,19 +595,10 @@ impl ReportCache {
             expansion_misses: self.expansion_misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             invalidations: self.invalidations.load(Ordering::Relaxed),
-            lineages: lineages
-                .iter()
-                .map(|s| LineageStats {
-                    label: s.label.clone(),
-                    hits: s.hits.load(Ordering::Relaxed),
-                    invalidations: s.invalidations.load(Ordering::Relaxed),
-                })
-                .collect(),
         }
     }
 
-    /// Zero every counter, the per-lineage ones included (lineage
-    /// registrations and claims are kept).
+    /// Zero every counter (claims are kept).
     pub fn reset_stats(&self) {
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
@@ -697,17 +608,12 @@ impl ReportCache {
         self.expansion_misses.store(0, Ordering::Relaxed);
         self.evictions.store(0, Ordering::Relaxed);
         self.invalidations.store(0, Ordering::Relaxed);
-        for state in self.lineages.read().iter() {
-            state.hits.store(0, Ordering::Relaxed);
-            state.invalidations.store(0, Ordering::Relaxed);
-        }
     }
 }
 
-/// Export the cache counters under `evorec_cache_*`, with per-lineage
-/// hit/invalidation tallies labelled `lineage="<label>"`. Pull-model:
-/// samples are read from the (consistent) [`ReportCache::stats`]
-/// snapshot at scrape time, so nothing is double-counted.
+/// Export the cache counters under `evorec_cache_*`. Pull-model:
+/// samples are read from the [`ReportCache::stats`] snapshot at scrape
+/// time, so nothing is double-counted.
 impl evorec_obs::MetricsSource for ReportCache {
     fn collect(&self, out: &mut Vec<evorec_obs::Sample>) {
         let stats = self.stats();
@@ -755,19 +661,6 @@ impl evorec_obs::MetricsSource for ReportCache {
             "evorec_cache_expansion_entries",
             self.expansion_len() as u64,
         ));
-        for lineage in &stats.lineages {
-            out.push(
-                evorec_obs::Sample::counter("evorec_cache_lineage_hits_total", lineage.hits)
-                    .with_label("lineage", &lineage.label),
-            );
-            out.push(
-                evorec_obs::Sample::counter(
-                    "evorec_cache_lineage_invalidations_total",
-                    lineage.invalidations,
-                )
-                .with_label("lineage", &lineage.label),
-            );
-        }
     }
 }
 
@@ -1091,76 +984,48 @@ mod tests {
     }
 
     #[test]
-    fn lineage_scoped_invalidation_spares_shared_fingerprints() {
+    fn claim_scoped_invalidation_spares_shared_fingerprints() {
         let (vs, ctx) = world();
         let registry = MeasureRegistry::standard();
         let cache = Arc::new(ReportCache::new());
         let recommender = cached_recommender(&cache);
-        let profile = crate::UserProfile::new(crate::UserId(1), "u");
+        let profile = interested(&ctx);
 
-        let a = cache.register_lineage("window-a");
-        let b = cache.register_lineage("window-b");
+        // Two views serve the same step.
         let shared = ctx.fingerprint();
-        cache.claim_lineage(a, shared);
-        cache.claim_lineage(b, shared);
+        cache.claim(shared);
+        cache.claim(shared);
 
-        // Warm both levels for the shared step.
+        // Warm every level for the shared step.
         let _ = recommender.recommend(&ctx, &profile);
         let reports = cache.len();
         assert_eq!(cache.derived_len(), 1);
+        assert_eq!(cache.expansion_len(), 1);
 
-        // A advances to a new step; B still claims the old one, so
-        // nothing is evicted — B's derived artefacts stay resident.
+        // One view advances to a new step; the other still claims the
+        // old one, so nothing is evicted — its reports, derived
+        // artefacts and expansions stay resident.
         let idle = EvolutionContext::build(&vs, ctx.from, ctx.from);
-        assert_eq!(cache.publish_lineage(a, shared, idle.fingerprint()), 0);
+        assert_eq!(cache.move_claim(shared, idle.fingerprint()), 0);
         assert_eq!(cache.len(), reports);
         assert_eq!(cache.derived_len(), 1);
+        assert_eq!(cache.expansion_len(), 1);
+        assert_eq!(cache.stats().invalidations, 0);
 
-        // B releases the step too: now both levels drop.
-        let removed = cache.publish_lineage(b, shared, idle.fingerprint());
-        assert_eq!(removed, registry.len() + 1);
-        assert_eq!(cache.derived_len(), 0);
+        // The last view moves off the step too: every level drops it.
+        let removed = cache.move_claim(shared, idle.fingerprint());
+        assert_eq!(removed, registry.len() + 2, "reports + derived + expansion");
+        assert_eq!(cache.len(), reports - registry.len());
+        assert_eq!((cache.derived_len(), cache.expansion_len()), (0, 0));
+        assert_eq!(cache.stats().invalidations, removed as u64);
 
-        // Counters: the eviction was credited to B's lineage, and a
-        // republish of the same step is a no-op.
-        let stats = cache.stats();
-        assert_eq!(stats.lineages.len(), 2);
-        assert_eq!(stats.lineages[0].label, "window-a");
-        assert_eq!(stats.lineages[0].invalidations, 0);
-        assert_eq!(stats.lineages[1].invalidations, removed as u64);
+        // Both views now claim the fresh step: one moving away leaves
+        // it resident, and a move onto the same step is a no-op.
         let fp = idle.fingerprint();
-        assert_eq!(cache.publish_lineage(a, fp, fp), 0);
-    }
-
-    #[test]
-    fn lineage_hits_credit_current_claimants() {
-        let (vs, ctx) = world();
-        let registry = MeasureRegistry::standard();
-        let cache = Arc::new(ReportCache::new());
-        let a = cache.register_lineage("narrow");
-        let b = cache.register_lineage("wide");
-        cache.claim_lineage(a, ctx.fingerprint());
-        let _ = cache.reports_for(&registry, &ctx); // cold: misses only
-        let _ = cache.reports_for(&registry, &ctx); // warm: hits credit A
-        let stats = cache.stats();
-        assert_eq!(stats.lineages[0].hits, registry.len() as u64);
-        assert_eq!(stats.lineages[1].hits, 0, "B claims nothing yet");
-        // A shared claim credits both; an unrelated step credits none.
-        cache.claim_lineage(b, ctx.fingerprint());
-        let _ = cache.reports_for(&registry, &ctx);
-        let stats = cache.stats();
-        assert_eq!(stats.lineages[0].hits, 2 * registry.len() as u64);
-        assert_eq!(stats.lineages[1].hits, registry.len() as u64);
-        let idle = EvolutionContext::build(&vs, ctx.from, ctx.from);
         let _ = cache.reports_for(&registry, &idle);
-        let _ = cache.reports_for(&registry, &idle);
-        let stats = cache.stats();
-        assert_eq!(stats.lineages[0].hits, 2 * registry.len() as u64);
-        // reset_stats zeroes lineage counters but keeps registrations.
-        cache.reset_stats();
-        let stats = cache.stats();
-        assert_eq!(stats.lineages.len(), 2);
-        assert_eq!(stats.lineages[0].hits, 0);
+        assert_eq!(cache.move_claim(fp, fp), 0);
+        assert_eq!(cache.move_claim(fp, shared), 0);
+        assert!(cache.contains(&registry.all()[0].id(), fp));
     }
 
     #[test]
@@ -1299,13 +1164,12 @@ mod tests {
     }
 
     #[test]
-    fn publish_lineage_drops_the_superseded_steps_expansions() {
+    fn move_claim_drops_the_superseded_steps_expansions() {
         let (vs, ctx) = world();
         let registry = MeasureRegistry::standard();
         let cache = Arc::new(ReportCache::new());
         let recommender = cached_recommender(&cache);
-        let lineage = cache.register_lineage("window");
-        cache.claim_lineage(lineage, ctx.fingerprint());
+        cache.claim(ctx.fingerprint());
         let profile = interested(&ctx);
         let _ = recommender.recommend(&ctx, &profile);
         assert_eq!(cache.expansion_len(), 1);
@@ -1313,7 +1177,7 @@ mod tests {
         let _ = recommender.recommend_measures(&idle, &profile, 3);
         assert_eq!(cache.expansion_len(), 2, "one expansion per step");
 
-        let removed = cache.publish_lineage(lineage, ctx.fingerprint(), idle.fingerprint());
+        let removed = cache.move_claim(ctx.fingerprint(), idle.fingerprint());
         assert_eq!(removed, registry.len() + 2, "reports + derived + expansion");
         assert_eq!(cache.expansion_len(), 1, "the fresh step's expansion stays");
         assert_eq!(cache.stats().invalidations, removed as u64);

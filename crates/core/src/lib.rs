@@ -37,7 +37,7 @@ pub mod slo;
 pub mod transparency;
 
 pub use anonymity::{anonymise, AnonymisedCell, AnonymisedReport, UserFeed};
-pub use cache::{CacheStats, DerivedArtefacts, LineageId, LineageStats, ReportCache};
+pub use cache::{CacheStats, DerivedArtefacts, ReportCache};
 pub use diversity::{
     category_coverage, intra_set_distance, select_mmr, set_objective, swap_refine,
     DistanceMatrix, DistanceWeights,

@@ -1,18 +1,16 @@
-//! Interleaving models of the [`ReportCache`] lineage-counter
-//! consistency protocol: under `--cfg evorec_sched` the harness
-//! enumerates bounded schedules of hit-credits, lineage publishes, and
-//! `stats()` snapshots, proving a snapshot can never observe a hit or
-//! invalidation split across the global and per-lineage counters —
-//! the double-/under-count the write-locked snapshot fixed. A third
-//! model races two expansions of one profile through the expansion
-//! level. Under the default build the same closures run once as
-//! concurrency smoke tests.
+//! Interleaving models of the [`ReportCache`]: under `--cfg
+//! evorec_sched` the harness enumerates bounded schedules of two views
+//! moving their claims off one shared step, proving the step is dropped
+//! exactly once and only after both views moved, and of two expansions
+//! of one profile racing through the expansion level. Under the default
+//! build the same closures run once as concurrency smoke tests.
 
 use evorec_core::relatedness::expansion_config;
 use evorec_core::{ExpandedProfile, ReportCache, UserId, UserProfile};
 use evorec_kb::{Triple, TripleStore};
 use evorec_measures::{EvolutionContext, MeasureRegistry};
 use evorec_versioning::VersionedStore;
+use sched::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 fn bounded() -> sched::Builder {
@@ -24,9 +22,9 @@ fn bounded() -> sched::Builder {
 
 /// A tiny three-version world shared by every schedule (contexts carry
 /// no sched primitives, so building them outside the model is sound).
-/// Returns two contexts with distinct fingerprints: the v0→v1 step and
-/// the v1→v2 step.
-fn world() -> (EvolutionContext, EvolutionContext) {
+/// Returns three contexts with distinct fingerprints: the v0→v1, v1→v2
+/// and v0→v2 steps.
+fn world() -> (EvolutionContext, EvolutionContext, EvolutionContext) {
     let mut vs = VersionedStore::new();
     let a = vs.intern_iri("http://x/A");
     let b = vs.intern_iri("http://x/B");
@@ -45,62 +43,56 @@ fn world() -> (EvolutionContext, EvolutionContext) {
     (
         EvolutionContext::build(&vs, v0, v1),
         EvolutionContext::build(&vs, v1, v2),
+        EvolutionContext::build(&vs, v0, v2),
     )
 }
 
-/// A hit on a fingerprint claimed by two lineages racing a `stats()`
-/// snapshot: every snapshot sees the hit credited to *both* lineages
-/// and the global counter, or to none of them — never a partial
-/// credit.
+/// Two views claim step A; one moves to B while the other moves to C.
+/// In every schedule A's entries are dropped exactly once, by the
+/// second move, never while a view has not yet started moving; B and
+/// C, each claimed by one view, stay resident. The main thread races
+/// both moves as an observer.
 #[test]
-fn snapshot_never_sees_a_half_credited_hit() {
-    let (ctx, _) = world();
+fn the_last_claim_off_a_step_drops_it_exactly_once() {
+    let (a_ctx, b_ctx, c_ctx) = world();
     let registry = MeasureRegistry::standard();
     let measure = registry.all()[0].id();
-    let report = registry.all()[0].compute(&ctx);
-    let fingerprint = ctx.fingerprint();
+    let report = registry.all()[0].compute(&a_ctx);
+    let [a, b, c] = [&a_ctx, &b_ctx, &c_ctx].map(EvolutionContext::fingerprint);
 
     let builder = bounded();
     let report_handle = builder.explore(move || {
         let cache = Arc::new(ReportCache::with_capacity(8));
-        let a = cache.register_lineage("window:a");
-        let b = cache.register_lineage("window:b");
-        cache.claim_lineage(a, fingerprint);
-        cache.claim_lineage(b, fingerprint);
-        cache.insert(fingerprint, report.clone());
-        cache.reset_stats();
-
-        let reader = {
+        for fingerprint in [a, b, c] {
+            cache.insert(fingerprint, report.clone());
+        }
+        cache.claim(a);
+        cache.claim(a);
+        let moving = Arc::new(AtomicUsize::new(0));
+        let mover = |fresh| {
             let cache = Arc::clone(&cache);
-            sched::thread::spawn(move || cache.stats())
-        };
-        let hitter = {
-            let cache = Arc::clone(&cache);
-            let measure = measure.clone();
+            let moving = Arc::clone(&moving);
             sched::thread::spawn(move || {
-                assert!(cache.get(&measure, fingerprint).is_some());
+                moving.fetch_add(1, Ordering::SeqCst);
+                cache.move_claim(a, fresh)
             })
         };
-        let mid = reader.join().unwrap();
-        hitter.join().unwrap();
+        let (to_b, to_c) = (mover(b), mover(c));
 
-        // The mid-race snapshot is transactional: the single hit is
-        // either fully absent or fully present across all three
-        // counters.
-        assert_eq!(
-            mid.lineages[0].hits, mid.lineages[1].hits,
-            "co-claiming lineages must be credited atomically"
-        );
-        assert_eq!(
-            mid.hits, mid.lineages[0].hits,
-            "global and lineage hit tallies must move together"
-        );
+        // A drop happens-after both views' start (program order, then
+        // the claims lock), and the observer reads the level first.
+        let dropped = !cache.contains(&measure, a);
+        let started = moving.load(Ordering::SeqCst);
+        if dropped {
+            assert_eq!(started, 2, "A dropped before both views moved");
+        }
 
-        // Quiescent exactness.
-        let end = cache.stats();
-        assert_eq!(end.hits, 1);
-        assert_eq!(end.lineages[0].hits, 1);
-        assert_eq!(end.lineages[1].hits, 1);
+        let removed = [to_b.join().unwrap(), to_c.join().unwrap()];
+        assert_eq!(removed.iter().sum::<usize>(), 1, "A dropped exactly once");
+        assert!(!cache.contains(&measure, a));
+        assert!(cache.contains(&measure, b), "B is claimed");
+        assert!(cache.contains(&measure, c), "C is claimed");
+        assert_eq!(cache.stats().invalidations, 1);
     });
     assert!(report_handle.schedules >= 1);
     if cfg!(evorec_sched) {
@@ -111,60 +103,13 @@ fn snapshot_never_sees_a_half_credited_hit() {
     }
 }
 
-/// A lineage publish (epoch swap + scoped eviction) racing a `stats()`
-/// snapshot: the global invalidation counter and the publishing
-/// lineage's counter always agree — the eviction is never visible in
-/// one but not the other.
-#[test]
-fn snapshot_never_tears_a_lineage_publish() {
-    let (ctx, next) = world();
-    let registry = MeasureRegistry::standard();
-    let report = registry.all()[0].compute(&ctx);
-    let fingerprint = ctx.fingerprint();
-    let fresh = next.fingerprint();
-
-    let builder = bounded();
-    let report_handle = builder.explore(move || {
-        let cache = Arc::new(ReportCache::with_capacity(8));
-        let lineage = cache.register_lineage("window:a");
-        cache.claim_lineage(lineage, fingerprint);
-        cache.insert(fingerprint, report.clone());
-        cache.reset_stats();
-
-        let reader = {
-            let cache = Arc::clone(&cache);
-            sched::thread::spawn(move || cache.stats())
-        };
-        let publisher = {
-            let cache = Arc::clone(&cache);
-            sched::thread::spawn(move || cache.publish_lineage(lineage, fingerprint, fresh))
-        };
-        let mid = reader.join().unwrap();
-        let removed = publisher.join().unwrap();
-
-        assert_eq!(removed, 1, "the superseded entry must be evicted");
-        assert_eq!(
-            mid.invalidations, mid.lineages[0].invalidations,
-            "global and lineage invalidation tallies must move together"
-        );
-
-        let end = cache.stats();
-        assert_eq!(end.invalidations, 1);
-        assert_eq!(end.lineages[0].invalidations, 1);
-    });
-    assert!(report_handle.schedules >= 1);
-    if cfg!(evorec_sched) {
-        assert!(report_handle.schedules > 1);
-    }
-}
-
 /// Two threads expand one profile under one fingerprint through the
 /// expansion level: whichever schedule runs, both get bit-identical
 /// weights (a loser of the insert race adopts the winner's entry),
 /// exactly one entry stays resident, and every lookup is counted once.
 #[test]
 fn racing_expansions_agree_and_leave_one_entry() {
-    let (ctx, _) = world();
+    let (ctx, ..) = world();
     let graph = Arc::clone(&ctx.graph_union);
     let fingerprint = ctx.fingerprint();
     let profile = UserProfile::new(UserId(1), "u").with_interest(graph.term(0), 1.0);

@@ -81,22 +81,41 @@ impl EvolutionContext {
     /// # Panics
     /// Panics if either version is unknown to `store`.
     pub fn build(store: &VersionedStore, from: VersionId, to: VersionId) -> EvolutionContext {
-        let delta = store.delta(from, to);
+        EvolutionContext::over_span(store, from, to, store.delta(from, to))
+    }
+
+    /// Build the context for the step `from` → `to` of `store` over
+    /// `span`, a delta the caller already holds for that step — a live
+    /// view's span delta, kept equal to [`LowLevelDelta::compute`] over
+    /// the two snapshots by extending and stripping it epoch by epoch.
+    /// The context shares `span` instead of asking the store for the
+    /// pair, so no snapshot is diffed and the store keeps no copy; the
+    /// result is bit-identical to [`build`](EvolutionContext::build)
+    /// whenever `span` is that step's delta.
+    ///
+    /// # Panics
+    /// Panics if either version is unknown to `store`.
+    pub fn over_span(
+        store: &VersionedStore,
+        from: VersionId,
+        to: VersionId,
+        span: Arc<LowLevelDelta>,
+    ) -> EvolutionContext {
         let before = store.schema_view(from);
         let after = store.schema_view(to);
-        let changes = Arc::new(ChangeSet::detect(&delta, &before, &after, store.vocab()));
+        let changes = Arc::new(ChangeSet::detect(&span, &before, &after, store.vocab()));
         let substrate_before = store.substrate(from);
         let substrate_after = store.substrate(to);
         let graph_union = Arc::new(union_graph(&before, &after));
         let fingerprint = ContextFingerprint {
             from,
             to,
-            digest: digest_step(store, from, to, &delta, &graph_union),
+            digest: digest_step(store, from, to, &span, &graph_union),
         };
         EvolutionContext {
             from,
             to,
-            delta,
+            delta: span,
             before,
             after,
             changes,
@@ -370,6 +389,18 @@ mod tests {
         assert_eq!(a.fingerprint(), b.fingerprint());
         assert_eq!(a.fingerprint().from, v0);
         assert_eq!(a.fingerprint().to, v1);
+    }
+
+    #[test]
+    fn over_span_shares_the_span_and_matches_build() {
+        let (vs, v0, v1, _) = store();
+        let span = Arc::new(LowLevelDelta::compute(vs.snapshot(v0), vs.snapshot(v1)));
+        let held = EvolutionContext::over_span(&vs, v0, v1, Arc::clone(&span));
+        assert!(Arc::ptr_eq(&held.delta, &span), "the held span, uncopied");
+        assert_eq!(vs.delta_computations(), 0, "the store diffed nothing");
+        let built = EvolutionContext::build(&vs, v0, v1);
+        assert_eq!(held.fingerprint(), built.fingerprint());
+        assert_eq!(held.changes.len(), built.changes.len());
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Unified observability for the evorec serving stack.
 //!
 //! Every subsystem so far kept its own ad-hoc counters — `CacheStats`
-//! lineages, `LogStats` queue depths, the bandit ledger, window-manager
-//! publish tallies — with no common registry, no latency distributions,
-//! and no export format. This crate is the one place they all meet:
+//! hits and invalidations, `LogStats` queue depths, the bandit ledger,
+//! window-manager publish tallies — with no common registry, no
+//! latency distributions, and no export format. This crate is the one
+//! place they all meet:
 //!
 //! * [`MetricsRegistry`] — the list of [`MetricsSource`]s, sampled at
 //!   scrape time: existing stats structs plug in without changing how
@@ -27,8 +28,8 @@
 //!
 //! `evorec_<subsystem>_<noun>[_<unit>][_total]` — `_total` marks
 //! monotonic counters, units are spelled out (`_nanos`, `_bytes`),
-//! and high-cardinality dimensions (lineage, window, measure, span)
-//! ride in labels, never in the family name.
+//! and high-cardinality dimensions (window, measure, span) ride in
+//! labels, never in the family name.
 //!
 //! The grammar extends to *series keys* — the per-series identity
 //! used by [`MetricsSnapshot::diff`] and the telemetry TSDB: the full

@@ -139,8 +139,8 @@ impl Ingestor {
     /// in the ledger as a seed import by `actor`).
     pub fn seeded(base: TripleStore, actor: &str, config: IngestorConfig) -> Ingestor {
         let mut ingestor = Ingestor::new(config);
-        let delta = LowLevelDelta::from_parts(base.iter(), []);
-        let version = ingestor.store.commit_delta("seed", &delta);
+        let delta = Arc::new(LowLevelDelta::from_parts(base.iter(), []));
+        let version = ingestor.store.commit_delta("seed", Arc::clone(&delta));
         ingestor.ledger.record_commit(
             actor,
             "seed-import",
@@ -233,7 +233,7 @@ impl Ingestor {
         let previous = self.store.head();
         let label = format!("{}-{}", self.config.label_prefix, self.stats.epochs);
         let delta = Arc::new(delta);
-        let version = self.store.commit_delta(label, &delta);
+        let version = self.store.commit_delta(label, Arc::clone(&delta));
         let actor = match actors.len() {
             0 => "unknown".to_string(),
             1 => actors[0].to_string(),
@@ -376,13 +376,16 @@ mod tests {
         assert_eq!(commit.delta.added_count(), 1);
         assert_eq!(commit.delta.removed_count(), 0);
         assert_eq!(ing.stats().no_ops, 2);
-        // The seeded delta cache agrees with a fresh recomputation.
+        // The committed delta agrees with a fresh recomputation, and
+        // the store memoises the very handle the commit hands out.
         let v0 = VersionId::from_u32(0);
         let recomputed = LowLevelDelta::compute(
             ing.store().snapshot(v0),
             ing.store().snapshot(commit.version),
         );
         assert_eq!(commit.delta.as_ref(), &recomputed);
+        assert!(Arc::ptr_eq(&ing.store().delta(v0, commit.version), &commit.delta));
+        assert_eq!(ing.store().delta_computations(), 0);
     }
 
     #[test]

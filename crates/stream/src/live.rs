@@ -9,22 +9,21 @@
 //! the cache, computing each measure the cache does not yet hold for
 //! the fresh step, one after another, from inputs built once per
 //! version or per step (see [`EvolutionContext`]) — and then moves the
-//! handle's cache lineage to the fresh fingerprint, dropping the
-//! superseded fingerprint's entries unless another lineage still
+//! handle's claim in the cache to the fresh fingerprint, dropping the
+//! superseded fingerprint's entries unless another live context still
 //! claims them.
 
-use evorec_core::{LineageId, ReportCache};
+use evorec_core::ReportCache;
 use evorec_measures::{EvolutionContext, MeasureRegistry};
 use sched::sync::atomic::{AtomicU64, Ordering};
 use sched::sync::{Mutex, RwLock};
 use std::sync::Arc;
 
 /// A serving pair attached to a [`LiveContext`]: publishes pre-warm
-/// this registry's reports into this cache, scoped to this lineage.
+/// this registry's reports into this cache.
 struct ServingHandles {
     registry: Arc<MeasureRegistry>,
     cache: Arc<ReportCache>,
-    lineage: LineageId,
 }
 
 /// An atomically swapped handle to the latest published
@@ -37,9 +36,9 @@ pub struct LiveContext {
     // lint: publishes
     epoch: AtomicU64,
     serving: Option<ServingHandles>,
-    /// Serialises whole publishes (swap → warm → lineage move):
+    /// Serialises whole publishes (swap → warm → claim move):
     /// concurrent `publish` calls would otherwise interleave their warm
-    /// passes and leave the lineage claiming a step older than the one
+    /// passes and leave the handle claiming a step older than the one
     /// readers see. Readers never touch this lock.
     publish_lock: Mutex<()>,
 }
@@ -57,28 +56,21 @@ impl LiveContext {
 
     /// Attach a serving pair: every publish pre-warms `registry`'s
     /// reports for the fresh context into `cache`, then moves this
-    /// handle's cache lineage to the fresh fingerprint.
+    /// handle's claim to the fresh fingerprint.
     ///
-    /// The lineage is registered with `cache` under `label` (see
-    /// [`ReportCache::register_lineage`]) and claims `initial`'s
-    /// fingerprint at once. A superseded fingerprint's entries are
-    /// evicted only when no *other* lineage still claims it, so several
-    /// live windows can share one cache without one window's swap
-    /// evicting what another still serves.
+    /// The handle claims `initial`'s fingerprint at once (see
+    /// [`ReportCache::claim`]). A superseded fingerprint's entries are
+    /// evicted only when no *other* live context still claims it, so
+    /// several live windows can share one cache without one window's
+    /// swap evicting what another still serves.
     pub fn with_serving(
         initial: Arc<EvolutionContext>,
         registry: Arc<MeasureRegistry>,
         cache: Arc<ReportCache>,
-        label: impl Into<String>,
     ) -> LiveContext {
-        let lineage = cache.register_lineage(label);
-        cache.claim_lineage(lineage, initial.fingerprint());
+        cache.claim(initial.fingerprint());
         LiveContext {
-            serving: Some(ServingHandles {
-                registry,
-                cache,
-                lineage,
-            }),
+            serving: Some(ServingHandles { registry, cache }),
             ..LiveContext::new(initial)
         }
     }
@@ -100,7 +92,7 @@ impl LiveContext {
     /// the cache does not already hold under `next`'s fingerprint is
     /// computed over `next`, whatever step was live before.
     pub fn publish(&self, next: Arc<EvolutionContext>) {
-        // One publish at a time, so warm and lineage traffic hits the
+        // One publish at a time, so warm and claim traffic hits the
         // cache in epoch order.
         let _serialised = self.publish_lock.lock();
         let previous = {
@@ -135,10 +127,10 @@ impl evorec_obs::MetricsSource for LiveContext {
 }
 
 /// Compute every report for `next` that the cache does not already
-/// hold — another lineage publishing the same step may have warmed it —
-/// then move the handle's lineage to `next`, dropping the superseded
-/// fingerprint's entries unless another lineage of the shared cache
-/// still claims them.
+/// hold — another live context publishing the same step may have
+/// warmed it — then move the handle's claim to `next`, dropping the
+/// superseded fingerprint's entries unless another live context of
+/// the shared cache still claims them.
 fn warm_and_invalidate(
     serving: &ServingHandles,
     previous: &EvolutionContext,
@@ -155,9 +147,7 @@ fn warm_and_invalidate(
             serving.cache.insert(new_fingerprint, measure.compute(next));
         }
     }
-    serving
-        .cache
-        .publish_lineage(serving.lineage, old_fingerprint, new_fingerprint);
+    serving.cache.move_claim(old_fingerprint, new_fingerprint);
 }
 
 impl std::fmt::Debug for LiveContext {
@@ -165,7 +155,6 @@ impl std::fmt::Debug for LiveContext {
         f.debug_struct("LiveContext")
             .field("epoch", &self.epoch())
             .field("fingerprint", &self.current().fingerprint())
-            .field("lineage", &self.serving.as_ref().map(|s| s.lineage))
             .finish()
     }
 }
@@ -221,7 +210,6 @@ mod tests {
             Arc::clone(&first),
             Arc::clone(&registry),
             Arc::clone(&cache),
-            "live",
         );
         // Warm the first epoch the ordinary way.
         let _ = cache.reports_for(&registry, &first);
@@ -252,7 +240,6 @@ mod tests {
             Arc::clone(&ctx),
             Arc::clone(&registry),
             Arc::clone(&cache),
-            "live",
         );
         let _ = cache.reports_for(&registry, &ctx);
         let rebuilt = Arc::new(EvolutionContext::build(&vs, v(0), v(1)));
@@ -262,7 +249,9 @@ mod tests {
     }
 
     #[test]
-    fn lineage_scoped_publish_spares_other_windows_entries() {
+    fn claim_scoped_publish_spares_other_windows_entries() {
+        use evorec_core::{Recommender, RecommenderConfig, UserId, UserProfile};
+
         let vs = store();
         let registry = Arc::new(MeasureRegistry::standard());
         let cache = Arc::new(ReportCache::new());
@@ -272,36 +261,46 @@ mod tests {
             Arc::clone(&shared),
             Arc::clone(&registry),
             Arc::clone(&cache),
-            "a",
         );
         let b = LiveContext::with_serving(
             Arc::clone(&shared),
             Arc::clone(&registry),
             Arc::clone(&cache),
-            "b",
         );
-        let _ = cache.reports_for(&registry, &shared);
+        // Warm every level for the shared step: reports, derived
+        // artefacts and one curator's expansion.
+        let recommender = Recommender::with_cache(
+            MeasureRegistry::standard(),
+            RecommenderConfig::default(),
+            Arc::clone(&cache),
+        );
+        let profile =
+            UserProfile::new(UserId(1), "u").with_interest(shared.graph_union.term(0), 1.0);
+        let _ = recommender.recommend(&shared, &profile);
         assert_eq!(cache.len(), registry.len());
+        let levels = |cache: &ReportCache| (cache.derived_len(), cache.expansion_len());
+        assert_eq!(levels(&cache), (1, 1));
 
         // A swaps away: B still claims the shared fingerprint, so its
         // entries stay resident alongside the fresh epoch's.
         let next = Arc::new(EvolutionContext::build(&vs, v(0), v(2)));
         a.publish(Arc::clone(&next));
         assert_eq!(cache.len(), 2 * registry.len(), "old step retained");
+        assert_eq!(levels(&cache), (1, 1), "B's derived and expansion kept");
+        assert_eq!(cache.stats().invalidations, 0);
         cache.reset_stats();
         let _ = cache.reports_for(&registry, &shared);
         assert_eq!(cache.stats().misses, 0, "B's step still warm");
 
-        // B swaps too: nobody claims the old step, entries drop.
+        // B swaps too: nobody claims the old step, every level drops it.
         b.publish(Arc::clone(&next));
         assert_eq!(cache.len(), registry.len());
-        let stats = cache.stats();
-        assert_eq!(stats.lineages.len(), 2);
-        assert!(stats.lineages[1].invalidations >= registry.len() as u64);
+        assert_eq!(levels(&cache), (0, 0));
+        assert_eq!(cache.stats().invalidations, registry.len() as u64 + 2);
     }
 
     #[test]
-    fn publishing_a_step_another_lineage_warmed_computes_nothing() {
+    fn publishing_a_step_another_view_warmed_computes_nothing() {
         // A landmark window publishes the same step as the pipeline
         // beside it: the second warm pass finds every report already
         // cached under the new fingerprint and neither probes the
@@ -310,15 +309,14 @@ mod tests {
         let registry = Arc::new(MeasureRegistry::standard());
         let cache = Arc::new(ReportCache::new());
         let first = Arc::new(EvolutionContext::build(&vs, v(0), v(1)));
-        let live = |label: &str| {
+        let live = || {
             LiveContext::with_serving(
                 Arc::clone(&first),
                 Arc::clone(&registry),
                 Arc::clone(&cache),
-                label,
             )
         };
-        let (pipeline, window) = (live("pipeline"), live("window"));
+        let (pipeline, window) = (live(), live());
         let _ = cache.reports_for(&registry, &first);
         let next = Arc::new(EvolutionContext::build(&vs, v(0), v(2)));
         pipeline.publish(Arc::clone(&next));
@@ -334,7 +332,7 @@ mod tests {
             let served = cache.get(&measure.id(), next.fingerprint()).expect("still warm");
             assert!(Arc::ptr_eq(report, &served), "{}", report.measure);
         }
-        // Both lineages moved on, so the superseded step is gone.
+        // Both views moved on, so the superseded step is gone.
         assert_eq!(cache.len(), registry.len());
     }
 
@@ -349,7 +347,6 @@ mod tests {
             Arc::clone(&a),
             Arc::clone(&registry),
             Arc::clone(&cache),
-            "live",
         ));
         let publishers: Vec<_> = (0..4)
             .map(|i| {

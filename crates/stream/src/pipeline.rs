@@ -68,9 +68,9 @@ pub struct PipelineOptions {
     pub origin: Option<VersionId>,
     /// Serving pair handed to the [`LiveContext`]: publishes pre-warm
     /// this registry into this cache and invalidate superseded epochs.
-    /// The pipeline registers its own cache lineage, so its swaps
-    /// never evict fingerprints other lineages (e.g. serving windows
-    /// sharing the cache) still claim.
+    /// The pipeline's live context claims the step it serves in the
+    /// cache, so its swaps never evict a step another live view (e.g.
+    /// a serving window sharing the cache) still claims.
     pub serving: Option<(Arc<MeasureRegistry>, Arc<ReportCache>)>,
     /// Epoch observers, called after every commit in commit order.
     pub sinks: Vec<Arc<dyn EpochSink>>,
@@ -111,11 +111,18 @@ impl StreamPipeline {
              history before spawning the pipeline"
         );
         let max_batch = ingestor.config().max_batch.max(1);
-        let initial = Arc::new(EvolutionContext::build(ingestor.store(), origin, head));
+        // The landmark span delta `origin → head`: empty for the default
+        // idle origin, memoised otherwise. The worker extends it in
+        // place by each commit's epoch delta.
+        let landmark = ingestor.store().delta(origin, head);
+        let initial = Arc::new(EvolutionContext::over_span(
+            ingestor.store(),
+            origin,
+            head,
+            Arc::clone(&landmark),
+        ));
         let live = Arc::new(match options.serving {
-            Some((registry, cache)) => {
-                LiveContext::with_serving(initial, registry, cache, "pipeline")
-            }
+            Some((registry, cache)) => LiveContext::with_serving(initial, registry, cache),
             None => LiveContext::new(initial),
         });
         // Room for four micro-batches: producers block once the worker
@@ -132,7 +139,7 @@ impl StreamPipeline {
                     &log,
                     &live,
                     origin,
-                    head,
+                    landmark,
                     max_batch,
                     &sinks,
                     tracer.as_deref(),
@@ -188,25 +195,22 @@ impl Drop for StreamPipeline {
 }
 
 /// The worker body: drain → ingest → commit/publish until the log is
-/// closed and empty, then flush whatever is still pending.
+/// closed and empty, then flush whatever is still pending. `landmark`
+/// is the span delta `origin → head` of the last published context,
+/// extended in place by each commit's epoch delta so rebuilding the
+/// published context never re-diffs the origin and head snapshots
+/// (the same span algebra serving windows ride).
 #[allow(clippy::too_many_arguments)]
 fn ingest_loop(
     mut ingestor: Ingestor,
     log: &EventLog,
     live: &LiveContext,
     origin: VersionId,
-    head: VersionId,
+    mut landmark: Arc<LowLevelDelta>,
     max_batch: usize,
     sinks: &[Arc<dyn EpochSink>],
     tracer: Option<&Tracer>,
 ) -> Ingestor {
-    // The landmark span delta `origin → head`, extended in place by
-    // each commit's epoch delta so rebuilding the published context
-    // never re-diffs the origin and head snapshots (the same span
-    // algebra serving windows ride). The spawn-time context build
-    // already fetched the initial span's delta: empty for the default
-    // idle origin, memoised otherwise.
-    let mut landmark = ingestor.store().delta(origin, head);
     loop {
         let batch = log.pop_batch(max_batch);
         let drained = batch.is_empty();
@@ -235,12 +239,15 @@ fn commit_and_publish(
     if let Some(commit) = ingestor.commit_epoch() {
         let commit_span = span(tracer, "epoch_commit", SpanHandle::NONE);
         let commit_handle = commit_span.handle();
-        // The published span shares the store's cached copy, so this
-        // in-place extension copies it once first.
+        // The published context shares the span, so this in-place
+        // extension copies it once first.
         Arc::make_mut(landmark).extend_by(&commit.delta);
-        let store = ingestor.store();
-        store.seed_delta(origin, commit.version, Arc::clone(landmark));
-        let ctx = Arc::new(EvolutionContext::build(store, origin, commit.version));
+        let ctx = Arc::new(EvolutionContext::over_span(
+            ingestor.store(),
+            origin,
+            commit.version,
+            Arc::clone(landmark),
+        ));
         let publish = span(tracer, "publish", commit_handle);
         live.publish(ctx);
         publish.finish();
@@ -339,6 +346,22 @@ mod tests {
         let ctx = live.current();
         assert!(ctx.delta.added.contains(&typing));
         drop(pipeline);
+    }
+
+    #[test]
+    fn the_published_context_alone_holds_the_final_span() {
+        let (ingestor, edge, typing) = seeded();
+        let pipeline = StreamPipeline::spawn(ingestor, PipelineOptions::default());
+        let live = Arc::clone(pipeline.live());
+        pipeline.send(ChangeEvent::assert(typing, "curator")).unwrap();
+        pipeline.send(ChangeEvent::retract(edge, "curator")).unwrap();
+        let ingestor = pipeline.shutdown();
+        assert!(ingestor.stats().epochs >= 1);
+        let ctx = live.current();
+        assert_eq!(ctx.delta.size(), 2);
+        // Neither the store's delta memo nor the stopped worker keeps
+        // a copy of the landmark span.
+        assert_eq!(Arc::strong_count(&ctx.delta), 1);
     }
 
     #[test]

@@ -117,18 +117,21 @@ impl VersionedStore {
 
     /// Commit the next version by applying `delta` to the current head
     /// (an empty base if the history is empty); returns the new id.
-    pub fn commit_delta(&mut self, label: impl Into<String>, delta: &LowLevelDelta) -> VersionId {
+    /// The handle itself is memoised as the delta `head → new`, so a
+    /// caller keeping `delta` shares it with the store, uncopied.
+    pub fn commit_delta(
+        &mut self,
+        label: impl Into<String>,
+        delta: Arc<LowLevelDelta>,
+    ) -> VersionId {
         let base = match self.head() {
             Some(head) => self.snapshots[head.index()].clone(),
             None => TripleStore::new(),
         };
         let next = delta.apply(base);
         let id = self.commit_snapshot(label, next);
-        // Seed the cache: the delta between head-1 and head is known.
         if let Some(prev) = id.predecessor() {
-            self.delta_cache
-                .write()
-                .insert((prev, id), Arc::new(delta.clone()));
+            self.delta_cache.write().insert((prev, id), delta);
         }
         id
     }
@@ -161,9 +164,12 @@ impl VersionedStore {
         self.snapshots.get(version.index())
     }
 
-    /// The low-level delta for the evolution `from` → `to` (memoised).
-    /// The idle step `v → v` is the empty delta, returned without a
-    /// snapshot diff.
+    /// The low-level delta for the evolution `from` → `to`. The idle
+    /// step `v → v` is the empty delta, returned without a snapshot
+    /// diff. The memo holds two kinds of entries: each epoch's delta,
+    /// stored by [`commit_delta`](VersionedStore::commit_delta), and
+    /// every pair this method diffed itself. A live view's span delta
+    /// is held by the view, never here.
     ///
     /// # Panics
     /// Panics if either version is unknown.
@@ -189,30 +195,11 @@ impl VersionedStore {
         computed
     }
 
-    /// Seed the delta cache for `from → to` with a delta the caller has
-    /// derived some other way — e.g. a serving window's span delta,
-    /// extended and stripped epoch by epoch so it equals what
-    /// [`LowLevelDelta::compute`] would return. A later
-    /// [`delta`](VersionedStore::delta) call for the pair then hits the
-    /// cache instead of re-diffing two whole snapshots. An already
-    /// cached pair is left untouched.
-    ///
-    /// # Panics
-    /// Panics if either version is unknown to this store.
-    pub fn seed_delta(&self, from: VersionId, to: VersionId, delta: Arc<LowLevelDelta>) {
-        assert!(
-            self.try_snapshot(from).is_some() && self.try_snapshot(to).is_some(),
-            "seed_delta needs committed versions, got {from} → {to}"
-        );
-        self.delta_cache.write().entry((from, to)).or_insert(delta);
-    }
-
     /// How many deltas have been computed by diffing two snapshots (the
-    /// O(|V1| + |V2|) path), as opposed to served from the cache or
-    /// seeded by [`seed_delta`](VersionedStore::seed_delta). The
+    /// O(|V1| + |V2|) path), as opposed to served from the memo. The
     /// multi-window serving tests and benches watch this counter to
-    /// prove that windows advance their span deltas in place instead of
-    /// re-diffing.
+    /// prove that live views advance their span deltas in place and
+    /// build their contexts over them instead of re-diffing.
     pub fn delta_computations(&self) -> u64 {
         self.delta_computations.load(Ordering::Relaxed)
     }
@@ -317,7 +304,7 @@ mod tests {
         let (mut vs, a, p, b) = fixture();
         vs.commit_snapshot("empty", TripleStore::new());
         let d = LowLevelDelta::from_parts([Triple::new(a, p, b)], []);
-        let v1 = vs.commit_delta("add one", &d);
+        let v1 = vs.commit_delta("add one", Arc::new(d));
         assert_eq!(vs.snapshot(v1).len(), 1);
         assert!(vs.snapshot(v1).contains(&Triple::new(a, p, b)));
     }
@@ -326,7 +313,7 @@ mod tests {
     fn commit_delta_on_empty_history_starts_from_nothing() {
         let (mut vs, a, p, b) = fixture();
         let d = LowLevelDelta::from_parts([Triple::new(a, p, b)], []);
-        let v0 = vs.commit_delta("genesis", &d);
+        let v0 = vs.commit_delta("genesis", Arc::new(d));
         assert_eq!(v0.index(), 0);
         assert_eq!(vs.snapshot(v0).len(), 1);
     }
@@ -387,47 +374,10 @@ mod tests {
     fn commit_delta_seeds_cache() {
         let (mut vs, a, p, b) = fixture();
         let v0 = vs.commit_snapshot("empty", TripleStore::new());
-        let d = LowLevelDelta::from_parts([Triple::new(a, p, b)], []);
-        let v1 = vs.commit_delta("add", &d);
-        let cached = vs.delta(v0, v1);
-        assert_eq!(cached.as_ref(), &d);
-    }
-
-    #[test]
-    fn seeded_delta_is_served_without_a_diff() {
-        let (mut vs, a, p, b) = fixture();
-        let v0 = vs.commit_snapshot("empty", TripleStore::new());
-        let v1 = vs.commit_snapshot("one", TripleStore::from_triples([Triple::new(a, p, b)]));
-        let v2 = vs.commit_snapshot(
-            "two",
-            TripleStore::from_triples([Triple::new(a, p, b), Triple::new(b, p, a)]),
-        );
+        let d = Arc::new(LowLevelDelta::from_parts([Triple::new(a, p, b)], []));
+        let v1 = vs.commit_delta("add", Arc::clone(&d));
+        assert!(Arc::ptr_eq(&vs.delta(v0, v1), &d), "memoised uncopied");
         assert_eq!(vs.delta_computations(), 0);
-        // Seed the long span by extending the first step by the second.
-        let d01 = vs.delta(v0, v1);
-        let d12 = vs.delta(v1, v2);
-        assert_eq!(vs.delta_computations(), 2);
-        let mut span = (*d01).clone();
-        span.extend_by(&d12);
-        let composed = Arc::new(span);
-        vs.seed_delta(v0, v2, Arc::clone(&composed));
-        let served = vs.delta(v0, v2);
-        assert!(Arc::ptr_eq(&served, &composed), "seeded entry served");
-        assert_eq!(vs.delta_computations(), 2, "no snapshot diff for v0→v2");
-        // Seeding an already cached pair leaves the original in place.
-        vs.seed_delta(v0, v1, Arc::new(LowLevelDelta::new()));
-        assert!(Arc::ptr_eq(&vs.delta(v0, v1), &d01));
-    }
-
-    #[test]
-    #[should_panic(expected = "committed versions")]
-    fn seed_delta_rejects_unknown_versions() {
-        let (vs, ..) = fixture();
-        vs.seed_delta(
-            VersionId::from_u32(0),
-            VersionId::from_u32(1),
-            Arc::new(LowLevelDelta::new()),
-        );
     }
 
     #[test]

@@ -19,12 +19,14 @@
 //! [`LowLevelDelta::strip_front`] with the evicted one, whose delta the
 //! store memoised when it committed) — never by re-diffing snapshots — yet
 //! every published context is bit-identical, fingerprint included, to a
-//! batch build over the same span. Every window's context shares the
-//! store's per-version substrates ([`VersionedStore::substrate`]), so
-//! an epoch builds the new head's class graph and centralities once,
-//! whatever the window count. All windows share one [`ReportCache`]
-//! under per-window *lineages*, so one window's epoch swap never evicts
-//! reports or derived artefacts another window still serves.
+//! batch build over the same span. Each window holds its own span and
+//! builds its context over it, so the store's delta memo keeps no
+//! window's span. Every window's context shares the store's
+//! per-version substrates ([`VersionedStore::substrate`]), so an epoch
+//! builds the new head's class graph and centralities once, whatever
+//! the window count. All windows share one [`ReportCache`], each
+//! claiming the step it serves, so one window's epoch swap never
+//! evicts reports or derived artefacts another window still serves.
 //!
 //! [`EpochSink`]: evorec_stream::EpochSink
 //! [`LiveContext`]: evorec_stream::LiveContext

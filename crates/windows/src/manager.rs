@@ -13,10 +13,10 @@ use std::sync::Arc;
 /// Construction options of a [`WindowManager`].
 #[derive(Clone, Default)]
 pub struct WindowManagerOptions {
-    /// Serving pair shared by every window: each window registers its
-    /// own cache lineage (labelled with the window name), so one
-    /// window's epoch swap never evicts derived artefacts another
-    /// window still serves.
+    /// Serving pair shared by every window: each window's live context
+    /// claims the step it serves in the cache, so one window's epoch
+    /// swap never evicts derived artefacts another window still
+    /// serves.
     pub serving: Option<(Arc<MeasureRegistry>, Arc<ReportCache>)>,
     /// Treat this version as the stream head at construction instead
     /// of the store's current head: a manager anchored at a historical
@@ -46,8 +46,8 @@ struct WindowState {
     /// The span delta `from → to`, always equal to
     /// [`LowLevelDelta::compute`] over the two snapshots: each epoch
     /// extends it in place and each eviction strips its front, in
-    /// O(|ε|). Shared with the store's delta cache once published, so
-    /// the next in-place edit copies it first ([`Arc::make_mut`]).
+    /// O(|ε|). Shared with the published context, so the next in-place
+    /// edit copies it first ([`Arc::make_mut`]).
     span: Arc<LowLevelDelta>,
     /// Epochs currently inside the window (sliding bookkeeping).
     epochs: usize,
@@ -91,8 +91,9 @@ struct ManagerState {
 /// sliding window additionally strips its evicted oldest epoch off the
 /// front ([`LowLevelDelta::strip_front`]) with the delta the store
 /// memoised when that epoch committed, in O(|evicted ε| + |new ε|) set
-/// work — then seeds the store's delta cache with it and builds the
-/// window's [`EvolutionContext`] from the seeded delta. No window
+/// work — then builds the window's [`EvolutionContext`] over that span
+/// ([`EvolutionContext::over_span`]). The window holds its span;
+/// nothing is stored for it in the store's delta memo. No window
 /// advance ever re-diffs two snapshots (watch
 /// [`VersionedStore::delta_computations`]), yet the published context
 /// is bit-identical — fingerprint included — to a batch build over the
@@ -103,13 +104,13 @@ struct ManagerState {
 /// window count.
 ///
 /// Each window publishes through its own [`LiveContext`]; with a
-/// serving pair attached, all windows share one [`ReportCache`] under
-/// per-window lineages, and each publish warms its window inline
-/// before the advance returns. A warm pass computes only what the
-/// cache lacks under the window's fresh fingerprint, and its measures
-/// read the per-version inputs (schema views with their semantic
-/// centralities, substrates) every window shares and the per-step
-/// change counts its own context builds once.
+/// serving pair attached, all windows share one [`ReportCache`], each
+/// claiming the step it serves, and each publish warms its window
+/// inline before the advance returns. A warm pass computes only what
+/// the cache lacks under the window's fresh fingerprint, and its
+/// measures read the per-version inputs (schema views with their
+/// semantic centralities, substrates) every window shares and the
+/// per-step change counts its own context builds once.
 ///
 /// [`StreamPipeline`]: evorec_stream::StreamPipeline
 /// [`PipelineOptions::sinks`]: evorec_stream::PipelineOptions
@@ -182,14 +183,16 @@ impl WindowManager {
                 WindowSpec::Since(t) => WindowSpec::since_anchor(store, t, origin, head),
             };
             let span = store.delta(from, head);
-            let initial = Arc::new(EvolutionContext::build(store, from, head));
+            let initial = Arc::new(EvolutionContext::over_span(
+                store,
+                from,
+                head,
+                Arc::clone(&span),
+            ));
             let live = match &options.serving {
-                Some((registry, cache)) => LiveContext::with_serving(
-                    initial,
-                    Arc::clone(registry),
-                    Arc::clone(cache),
-                    def.name.clone(),
-                ),
+                Some((registry, cache)) => {
+                    LiveContext::with_serving(initial, Arc::clone(registry), Arc::clone(cache))
+                }
                 None => LiveContext::new(initial),
             };
             states.push(WindowState {
@@ -370,14 +373,15 @@ impl WindowManager {
         }
     }
 
-    /// Seed the store's delta cache with the window's span delta and
-    /// publish a freshly built context through its live handle.
+    /// Publish a context built over the window's span delta through
+    /// its live handle.
     fn publish_window(&self, window: &Window, state: &WindowState, store: &VersionedStore) {
-        // An idle span needs no seed: the store answers `v → v` empty.
-        if state.from != state.to {
-            store.seed_delta(state.from, state.to, Arc::clone(&state.span));
-        }
-        let ctx = Arc::new(EvolutionContext::build(store, state.from, state.to));
+        let ctx = Arc::new(EvolutionContext::over_span(
+            store,
+            state.from,
+            state.to,
+            Arc::clone(&state.span),
+        ));
         window.live.publish(ctx);
         self.publishes.fetch_add(1, Ordering::Relaxed);
     }
@@ -534,7 +538,7 @@ mod tests {
         );
         run_epochs(&mut ingestor, &manager, &typings);
         // Rebuild the history into an independent store so the batch
-        // contexts cannot hit the seeded delta cache.
+        // contexts diff their own snapshots.
         let store = ingestor.store();
         let mut batch = VersionedStore::new();
         for info in store.versions() {
@@ -572,6 +576,39 @@ mod tests {
             "window advances must compose epoch deltas, not re-diff"
         );
         assert_eq!(manager.stats().ring_fallbacks, 0);
+    }
+
+    #[test]
+    fn a_window_span_is_held_by_its_state_and_its_context_alone() {
+        let (mut ingestor, typings) = seeded();
+        let origin = ingestor.head().unwrap();
+        let registry = Arc::new(MeasureRegistry::standard());
+        let cache = Arc::new(ReportCache::new());
+        let manager = WindowManager::new(
+            ingestor.store(),
+            origin,
+            defs(),
+            WindowManagerOptions {
+                serving: Some((registry, cache)),
+                ..Default::default()
+            },
+        );
+        run_epochs(&mut ingestor, &manager, &typings[..4]);
+        let state = manager.state.lock();
+        let mut checked = 0;
+        for (window, ws) in manager.windows.iter().zip(state.windows.iter()) {
+            if !matches!(
+                window.def.spec,
+                WindowSpec::Landmark | WindowSpec::SlidingEpochs(_)
+            ) {
+                continue;
+            }
+            let name = &window.def.name;
+            assert!(Arc::ptr_eq(&window.live.current().delta, &ws.span), "{name}");
+            assert_eq!(Arc::strong_count(&ws.span), 2, "{name}: state + context");
+            checked += 1;
+        }
+        assert_eq!(checked, 2, "the landmark and the sliding band");
     }
 
     #[test]

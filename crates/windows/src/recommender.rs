@@ -64,7 +64,7 @@ const STEADY_EPSILON: f64 = 1e-9;
 /// One [`Recommender`] answers for all windows; when the manager has a
 /// serving pair, the recommender shares its [`ReportCache`], so
 /// per-window requests land on the reports each window's publishes
-/// pre-warmed (under that window's cache lineage).
+/// pre-warmed.
 ///
 /// [`ReportCache`]: evorec_core::ReportCache
 pub struct WindowedRecommender {

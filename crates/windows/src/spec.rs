@@ -86,8 +86,7 @@ impl std::fmt::Display for WindowSpec {
 /// A named window: the handle curators address recommendations by.
 #[derive(Clone, Debug)]
 pub struct WindowDef {
-    /// Unique name within one manager (doubles as the cache-lineage
-    /// label).
+    /// Unique name within one manager.
     pub name: String,
     /// The horizon this window maintains.
     pub spec: WindowSpec,

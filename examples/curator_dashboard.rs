@@ -6,9 +6,10 @@
 //! ingestion pipeline while a `WindowManager` maintains four concurrent
 //! views from the same epoch stream — last epoch, a sliding band, a
 //! since-timestamp view, and everything since release — all sharing
-//! one report cache under per-window lineages. It then serves a
-//! personalised recommendation per window and a cross-window trend
-//! diff showing which measures rise or fall as the horizon widens.
+//! one report cache, each window claiming the step it serves. It then
+//! serves a personalised recommendation per window and a cross-window
+//! trend diff showing which measures rise or fall as the horizon
+//! widens.
 //!
 //! Run with: `cargo run --release --example curator_dashboard`
 
@@ -153,9 +154,9 @@ fn main() {
     }
 
     // -- 5. The unified snapshot: one registry pull covers the cache
-    //       (per-lineage counters included), the window manager, the
-    //       live context, and the tracer's per-stage latency summaries
-    //       — rendered in Prometheus text exposition format.
+    //       counters, the window manager, the live context, and the
+    //       tracer's per-stage latency summaries — rendered in
+    //       Prometheus text exposition format.
     let snapshot = metrics.snapshot();
     println!("\nmetrics snapshot (Prometheus exposition):");
     for line in snapshot.render_prometheus().lines() {

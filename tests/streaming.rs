@@ -189,7 +189,6 @@ proptest! {
             prev_ctx,
             Arc::clone(&registry),
             Arc::clone(&cache),
-            "warm",
         );
         live.publish(Arc::clone(&next_ctx));
         for measure in registry.all() {
@@ -262,8 +261,8 @@ fn all_four_workloads_replay_equivalently() {
 /// The pipeline's landmark context rebuild rides the epoch deltas:
 /// however many epochs commit, the store never diffs two snapshots —
 /// the spawn-time build is the idle step, which needs no diff, and each
-/// publish seeds the span's delta from the running in-place span,
-/// exactly like the window manager's advances.
+/// publish builds its context over the running in-place span, exactly
+/// like the window manager's advances.
 #[test]
 fn pipeline_landmark_rebuilds_never_rediff_snapshots() {
     use evorec::stream::{PipelineOptions, StreamPipeline};
@@ -294,7 +293,7 @@ fn pipeline_landmark_rebuilds_never_rediff_snapshots() {
         "neither the spawn-time idle build nor any epoch's landmark \
          rebuild may diff snapshots"
     );
-    // And the seeded composition is the real thing: the final context
+    // And the in-place composition is the real thing: the final context
     // equals a batch build over an independent store.
     let head = ingestor.head().expect("epochs committed");
     let mut batch = VersionedStore::new();

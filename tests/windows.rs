@@ -7,9 +7,9 @@
 //!   batch build over the same epoch span on an independent store;
 //! - advancing windows composes per-epoch deltas and never re-diffs
 //!   snapshots (the store's `delta_computations` counter stays flat);
-//! - windows share one report cache under per-window lineages, so one
-//!   window's epoch swap leaves the derived artefacts another window
-//!   still serves resident.
+//! - windows share one report cache, each claiming the step it serves,
+//!   so one window's epoch swap leaves the derived artefacts another
+//!   window still serves resident.
 
 use evorec::core::{
     RecommenderConfig, Recommender, ReportCache, UserId, UserProfile,
@@ -205,7 +205,7 @@ fn window_advances_compose_epoch_deltas_without_rediffing() {
 
 /// The k=4 acceptance run: a streamed synth workload through the
 /// threaded pipeline with the window manager attached as an epoch
-/// sink, all five lineages (pipeline + four windows) sharing one
+/// sink, all five live views (pipeline + four windows) sharing one
 /// report cache. Every window's served context equals its batch build,
 /// and every window's catalogue is warm.
 #[test]
@@ -234,6 +234,7 @@ fn four_window_pipeline_serves_batch_identical_contexts_warm() {
     );
     let pushed = stream_into(&world, pipeline.log());
     assert!(pushed > 0);
+    let pipeline_live = Arc::clone(pipeline.live());
     let ingestor = pipeline.shutdown();
     assert!(manager.stats().epochs >= 1);
 
@@ -244,16 +245,21 @@ fn four_window_pipeline_serves_batch_identical_contexts_warm() {
     }
 
     // Every window is served entirely warm: pre-warmed by its own
-    // publishes under its own lineage.
+    // publishes.
     cache.reset_stats();
     for (_, _, live) in manager.windows() {
         let _ = cache.reports_for(&registry, &live.current());
     }
     let stats = cache.stats();
     assert_eq!(stats.misses, 0, "all windows pre-warmed: {stats:?}");
-    assert_eq!(stats.lineages.len(), 5, "pipeline + four windows");
-    assert!(stats.lineages.iter().any(|l| l.label == "pipeline"));
-    assert!(stats.lineages.iter().any(|l| l.label == "release"));
+    // Only live steps stay resident: every superseded step lost its
+    // last claim and was dropped, whichever view moved off it last.
+    let live_steps: std::collections::HashSet<_> = manager
+        .windows()
+        .map(|(_, _, live)| live.current().fingerprint())
+        .chain([pipeline_live.current().fingerprint()])
+        .collect();
+    assert_eq!(cache.len(), registry.len() * live_steps.len());
 
     // The facade serves per-window answers and a trend diff from the
     // same warm cache.

@@ -7,6 +7,10 @@
 //! warm-up or an earlier sample already paid for. Each timed iteration
 //! therefore computes over a context built, untimed, on a fresh
 //! two-version store holding the evolved KB's base and head snapshots.
+//! Consecutive versions with equal class graphs share one betweenness,
+//! so the bench also panics unless the step changes the class graph:
+//! `betweenness-shift` and `bridging-shift` then time two betweenness
+//! computations, one per version.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use evorec_kb::TripleStore;
@@ -49,10 +53,16 @@ impl Step {
             base: kb.store.snapshot(kb.base_version).clone(),
             head: kb.store.snapshot(head).clone(),
         };
+        let fresh = step.context();
         assert_eq!(
-            step.context().fingerprint(),
+            fresh.fingerprint(),
             EvolutionContext::build(&kb.store, kb.base_version, head).fingerprint(),
             "the fresh store must describe the evolved KB's step"
+        );
+        assert!(
+            *fresh.graph_before != *fresh.graph_after,
+            "the step must change the class graph, or its two versions share one \
+             betweenness and the structural measures time one computation, not two"
         );
         step
     }

@@ -11,10 +11,12 @@
 //! and the time is what a new epoch costs; building the stream is
 //! set-up and is not timed. After the benches the harness panics
 //! unless one replay diffed no snapshot pair (no window ever re-diffs
-//! two snapshots), prints that count and the substrate count (one per
-//! epoch plus the seed's, whatever the window count), and panics
-//! unless a served replay left every window's live step warm for every
-//! measure.
+//! two snapshots), prints that count, the substrate count (one per
+//! epoch plus the seed's, whatever the window count) and the number of
+//! distinct class graphs among them (consecutive versions with equal
+//! class graphs share one, and its betweenness and bridging), and
+//! panics unless a served replay left every window's live step warm for
+//! every measure.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use evorec_core::ReportCache;
@@ -24,6 +26,7 @@ use evorec_synth::workload::streamed::committed_epochs;
 use evorec_synth::workload::{curated_kb, Workload};
 use evorec_versioning::{VersionId, VersionedStore};
 use evorec_windows::{WindowDef, WindowManager, WindowManagerOptions, WindowSpec};
+use std::collections::HashSet;
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -99,10 +102,17 @@ fn bench_window_advance(c: &mut Criterion) {
         "a four-window replay diffed {diffs} snapshot pairs: some window advance \
          rebuilt its span instead of moving it in place"
     );
+    let substrates = store.substrate_computations();
+    let class_graphs: HashSet<_> = store
+        .versions()
+        .iter()
+        .map(|info| Arc::as_ptr(store.substrate(info.id).graph()))
+        .collect();
     println!(
-        "windows: {diffs} snapshot diffs and {} substrates over one {epochs}-epoch \
-         four-window replay (spans advance in place; one substrate per version)",
-        store.substrate_computations()
+        "windows: {diffs} snapshot diffs, {substrates} substrates and {} distinct class \
+         graphs over one {epochs}-epoch four-window replay (spans advance in place; one \
+         substrate per version, one betweenness per distinct class graph)",
+        class_graphs.len()
     );
 }
 

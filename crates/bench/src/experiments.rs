@@ -68,7 +68,7 @@ pub fn e1() -> Table {
             classes.to_string(),
             world.kb.base_triples().to_string(),
             ctx.delta.size().to_string(),
-            ctx.changes.len().to_string(),
+            ctx.changes().len().to_string(),
             overview_items.to_string(),
             format!("{compression:.0}x"),
         ]);

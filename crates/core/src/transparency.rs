@@ -137,7 +137,7 @@ impl<'a> Explainer<'a> {
 
         let contributing_changes: Vec<String> = self
             .ctx
-            .changes
+            .changes()
             .changes_about(item.focus)
             .take(self.max_changes)
             .map(|c| c.describe(self.interner))

@@ -12,7 +12,9 @@ pub type NodeIx = u32;
 /// structural measures (betweenness, bridging centrality) of the paper's
 /// §II(c). Node indexes are dense and deterministic (ascending term id),
 /// so centrality vectors from two versions of the same knowledge base can
-/// be joined by term.
+/// be joined by term. Two graphs are equal when they have the same nodes
+/// and the same adjacency, so equal graphs have bit-identical
+/// centralities.
 #[derive(Clone, Debug, Default)]
 pub struct SchemaGraph {
     nodes: Vec<TermId>,
@@ -23,6 +25,9 @@ pub struct SchemaGraph {
 impl SchemaGraph {
     /// Build the class graph of a schema view: one node per class, one
     /// undirected edge per subsumption or property connection.
+    /// Self-loops are dropped, as in [`from_edges`](SchemaGraph::from_edges):
+    /// a reflexive `rdfs:subClassOf` axiom (RDFS rule rdfs10 emits one
+    /// per class) adds no edge.
     pub fn from_schema_view(view: &SchemaView) -> SchemaGraph {
         let mut nodes: Vec<TermId> = view.classes().iter().copied().collect();
         nodes.sort_unstable();
@@ -30,6 +35,9 @@ impl SchemaGraph {
         for u in 0..g.nodes.len() {
             let term = g.nodes[u];
             for neighbour in view.adjacent_classes(term) {
+                if neighbour == term {
+                    continue;
+                }
                 if let Some(&v) = g.index.get(&neighbour) {
                     g.adj[u].push(v);
                 }
@@ -132,6 +140,16 @@ impl SchemaGraph {
     }
 }
 
+/// Equal nodes and equal adjacency; the term index is derived from the
+/// nodes, so it is not compared.
+impl PartialEq for SchemaGraph {
+    fn eq(&self, other: &SchemaGraph) -> bool {
+        self.nodes == other.nodes && self.adj == other.adj
+    }
+}
+
+impl Eq for SchemaGraph {}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,5 +230,39 @@ mod tests {
         assert_eq!(sg.neighbours(ua), &[ub]);
         let uc = sg.node_of(c).unwrap();
         assert_eq!(sg.degree(uc), 0);
+    }
+
+    #[test]
+    fn from_schema_view_drops_reflexive_subclass_axioms() {
+        use crate::bridging_coefficient;
+        use evorec_kb::{Graph, Triple};
+        let mut g = Graph::new();
+        let a = g.iri("http://x/A");
+        let b = g.iri("http://x/B");
+        let v = *g.vocab();
+        g.insert(Triple::new(a, v.rdfs_subclassof, b));
+        let plain = SchemaGraph::from_schema_view(&g.schema());
+        g.insert(Triple::new(a, v.rdfs_subclassof, a));
+        let reflexive = SchemaGraph::from_schema_view(&g.schema());
+        let ua = reflexive.node_of(a).unwrap();
+        assert_eq!(reflexive.degree(ua), 1, "A ⊑ A adds no edge");
+        assert_eq!(reflexive, plain);
+        assert_eq!(bridging_coefficient(&reflexive), vec![1.0, 1.0]);
+    }
+
+    #[test]
+    fn equality_compares_nodes_and_adjacency() {
+        let g = path_with_isolate();
+        assert_eq!(g, path_with_isolate());
+        let fewer_edges = SchemaGraph::from_edges(
+            vec![t(0), t(1), t(2), t(3), t(4)],
+            &[(t(0), t(1)), (t(1), t(2))],
+        );
+        assert_ne!(g, fewer_edges);
+        let other_nodes = SchemaGraph::from_edges(
+            vec![t(0), t(1), t(2), t(3), t(5)],
+            &[(t(0), t(1)), (t(1), t(2)), (t(2), t(3))],
+        );
+        assert_ne!(g, other_nodes);
     }
 }

@@ -1,7 +1,7 @@
 //! Shared evaluation context for one evolution step.
 
 use evorec_graph::SchemaGraph;
-use evorec_kb::{FxHashMap, FxHasher, SchemaView, TermId};
+use evorec_kb::{FxHashMap, FxHasher, SchemaView, TermId, Vocab};
 use evorec_versioning::{
     ChangeSet, LowLevelDelta, StepEnd, VersionId, VersionSubstrate, VersionedStore,
 };
@@ -39,16 +39,18 @@ impl std::fmt::Display for ContextFingerprint {
 /// built once and shared.
 ///
 /// Measures are pure functions of this context. What belongs to the
-/// step — delta, high-level changes, union class graph, fingerprint —
-/// is built here, and the per-term change counts δ(n) on first use
-/// ([`changes_for_term`](EvolutionContext::changes_for_term)); what
-/// belongs to one version — schema view with its semantic
-/// centralities, class graph, betweenness, bridging centrality,
-/// snapshot digest — is held as `Arc`s into the store's per-version
-/// caches ([`VersionedStore::schema_view`],
-/// [`VersionedStore::substrate`]), so every context over a version
-/// shares one copy, and a centrality is computed at most once per
-/// version however many steps read it.
+/// step — delta, union class graph, fingerprint — is built here; the
+/// per-term change counts δ(n)
+/// ([`changes_for_term`](EvolutionContext::changes_for_term)) and the
+/// high-level changes ([`changes`](EvolutionContext::changes)) on first
+/// read, since no measure reads the latter. What belongs to one version
+/// — schema view with its semantic centralities, class graph,
+/// betweenness, bridging centrality, snapshot digest — is held as
+/// `Arc`s into the store's per-version caches
+/// ([`VersionedStore::schema_view`], [`VersionedStore::substrate`]), so
+/// every context over a version shares one copy, and a centrality is
+/// computed at most once per version however many steps read it — once
+/// for a run of consecutive versions with equal class graphs.
 pub struct EvolutionContext {
     /// The earlier version.
     pub from: VersionId,
@@ -60,8 +62,6 @@ pub struct EvolutionContext {
     pub before: Arc<SchemaView>,
     /// Schema view of the later version.
     pub after: Arc<SchemaView>,
-    /// High-level changes of the step.
-    pub changes: Arc<ChangeSet>,
     /// Class graph of the earlier version.
     pub graph_before: Arc<SchemaGraph>,
     /// Class graph of the later version.
@@ -72,6 +72,8 @@ pub struct EvolutionContext {
     fingerprint: ContextFingerprint,
     substrate_before: Arc<VersionSubstrate>,
     substrate_after: Arc<VersionSubstrate>,
+    vocab: Vocab,
+    changes: OnceLock<ChangeSet>,
     change_counts: OnceLock<FxHashMap<TermId, usize>>,
 }
 
@@ -103,7 +105,6 @@ impl EvolutionContext {
     ) -> EvolutionContext {
         let before = store.schema_view(from);
         let after = store.schema_view(to);
-        let changes = Arc::new(ChangeSet::detect(&span, &before, &after, store.vocab()));
         let substrate_before = store.substrate(from);
         let substrate_after = store.substrate(to);
         let graph_union = Arc::new(union_graph(&before, &after));
@@ -118,15 +119,24 @@ impl EvolutionContext {
             delta: span,
             before,
             after,
-            changes,
             graph_before: Arc::clone(substrate_before.graph()),
             graph_after: Arc::clone(substrate_after.graph()),
             graph_union,
             fingerprint,
             substrate_before,
             substrate_after,
+            vocab: *store.vocab(),
+            changes: OnceLock::new(),
             change_counts: OnceLock::new(),
         }
+    }
+
+    /// The high-level changes of the step ([`ChangeSet::detect`] over
+    /// the delta and both schema views), detected the first time they
+    /// are read.
+    pub fn changes(&self) -> &ChangeSet {
+        self.changes
+            .get_or_init(|| ChangeSet::detect(&self.delta, &self.before, &self.after, &self.vocab))
     }
 
     /// δ(n): the number of triples of the step's delta, added or
@@ -323,7 +333,7 @@ mod tests {
         assert_eq!(ctx.graph_before.node_count(), 2);
         assert_eq!(ctx.graph_after.node_count(), 3);
         assert_eq!(ctx.graph_union.node_count(), 3);
-        assert_eq!(ctx.changes.len(), 2, "AddClass(C) + AddSubclass(C,B)");
+        assert_eq!(ctx.changes().len(), 2, "AddClass(C) + AddSubclass(C,B)");
     }
 
     #[test]
@@ -400,7 +410,7 @@ mod tests {
         assert_eq!(vs.delta_computations(), 0, "the store diffed nothing");
         let built = EvolutionContext::build(&vs, v0, v1);
         assert_eq!(held.fingerprint(), built.fingerprint());
-        assert_eq!(held.changes.len(), built.changes.len());
+        assert_eq!(held.changes().len(), built.changes().len());
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //!   with instead of re-diffing snapshots;
 //! - [`VersionSubstrate`] — one version's class graph, betweenness,
 //!   bridging centrality and snapshot digests, computed once and shared
-//!   by every evolution step over the version;
+//!   by every evolution step over the version; consecutive versions
+//!   with equal class graphs share one graph and its centralities;
 //! - [`LowLevelDelta`] — δ⁺/δ⁻ triple sets with apply/invert, in-place
 //!   span extension and stripping, and the per-term restriction δ(n) of
 //!   the paper's §II(a);

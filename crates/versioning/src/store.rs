@@ -207,7 +207,11 @@ impl VersionedStore {
     /// The graph substrate of `version` — its class graph, centralities
     /// and snapshot digests — built once and shared by every evolution
     /// step over the version. Concurrent first requests for one version
-    /// build it once and receive the same handle.
+    /// build it once and receive the same handle. When the predecessor's
+    /// substrate is cached and its class graph equals `version`'s, the
+    /// new substrate shares the predecessor's graph, betweenness and
+    /// bridging (which depend on the graph alone), so a run of
+    /// instance-only epochs computes them once.
     ///
     /// # Panics
     /// Panics if `version` is unknown.
@@ -217,17 +221,24 @@ impl VersionedStore {
         }
         let view = self.schema_view(version);
         let mut cache = self.substrate_cache.write();
-        let substrate = cache.entry(version).or_insert_with(|| {
-            self.substrate_computations.fetch_add(1, Ordering::Relaxed);
-            Arc::new(VersionSubstrate::new(SchemaGraph::from_schema_view(&view)))
-        });
-        Arc::clone(substrate)
+        if let Some(hit) = cache.get(&version) {
+            return Arc::clone(hit);
+        }
+        self.substrate_computations.fetch_add(1, Ordering::Relaxed);
+        let predecessor = version.predecessor().and_then(|p| cache.get(&p));
+        let substrate = Arc::new(VersionSubstrate::new(
+            SchemaGraph::from_schema_view(&view),
+            predecessor.map(Arc::as_ref),
+        ));
+        cache.insert(version, Arc::clone(&substrate));
+        substrate
     }
 
     /// How many version substrates have been built (class graphs
     /// extracted) — one per distinct version any context has spanned.
     /// An epoch stream served through any number of windows adds one
-    /// per epoch: the new head's.
+    /// per epoch: the new head's. Versions that share their
+    /// predecessor's class graph count here too.
     pub fn substrate_computations(&self) -> u64 {
         self.substrate_computations.load(Ordering::Relaxed)
     }
@@ -368,6 +379,65 @@ mod tests {
         assert_ne!(from, vs.snapshot_digest(v0, StepEnd::To));
         assert_eq!(from, vs.snapshot_digest(v0, StepEnd::From));
         assert_eq!(vs.substrate_computations(), 2, "digests ride the substrate");
+    }
+
+    #[test]
+    fn equal_class_graphs_share_one_centrality_memo() {
+        let (mut vs, a, p, b) = fixture();
+        let vocab = *vs.vocab();
+        let c = vs.intern_iri("http://x/c");
+        let schema = Triple::new(a, vocab.rdfs_subclassof, b);
+        let v0 = vs.commit_snapshot("schema", TripleStore::from_triples([schema]));
+        // An instance-only epoch: the class graph is v0's.
+        let v1 = vs.commit_delta(
+            "instances",
+            Arc::new(LowLevelDelta::from_parts([Triple::new(a, p, b)], [])),
+        );
+        // A schema epoch: C joins the class graph.
+        let v2 = vs.commit_delta(
+            "schema",
+            Arc::new(LowLevelDelta::from_parts(
+                [Triple::new(c, vocab.rdfs_subclassof, b)],
+                [],
+            )),
+        );
+        let (s0, s1, s2) = (vs.substrate(v0), vs.substrate(v1), vs.substrate(v2));
+        assert!(
+            !Arc::ptr_eq(&s0, &s1),
+            "each version keeps its own substrate"
+        );
+        assert!(Arc::ptr_eq(s0.graph(), s1.graph()));
+        assert!(Arc::ptr_eq(s0.betweenness(), s1.betweenness()));
+        assert!(Arc::ptr_eq(s0.bridging(), s1.bridging()));
+        assert_ne!(**s1.graph(), **s2.graph());
+        assert!(!Arc::ptr_eq(s1.graph(), s2.graph()));
+        assert!(!Arc::ptr_eq(s1.betweenness(), s2.betweenness()));
+        assert!(!Arc::ptr_eq(s1.bridging(), s2.bridging()));
+        assert_eq!(vs.substrate_computations(), 3, "one substrate per version");
+        // Digests stay per version: v0 and v1 hold different snapshots.
+        assert_ne!(
+            vs.snapshot_digest(v0, StepEnd::To),
+            vs.snapshot_digest(v1, StepEnd::To)
+        );
+    }
+
+    #[test]
+    fn a_version_without_a_cached_predecessor_gets_its_own_class_graph() {
+        let (mut vs, a, p, b) = fixture();
+        let vocab = *vs.vocab();
+        let schema = Triple::new(a, vocab.rdfs_subclassof, b);
+        let v0 = vs.commit_snapshot("schema", TripleStore::from_triples([schema]));
+        let v1 = vs.commit_snapshot(
+            "instances",
+            TripleStore::from_triples([schema, Triple::new(a, p, b)]),
+        );
+        // v1 first: v0's substrate is not cached yet, so nothing is shared.
+        let s1 = vs.substrate(v1);
+        let s0 = vs.substrate(v0);
+        assert_eq!(**s0.graph(), **s1.graph());
+        assert!(!Arc::ptr_eq(s0.graph(), s1.graph()));
+        assert!(!Arc::ptr_eq(s0.betweenness(), s1.betweenness()));
+        assert!(!Arc::ptr_eq(s0.bridging(), s1.bridging()));
     }
 
     #[test]

@@ -67,7 +67,7 @@ fn main() {
         "delta: +{} / -{} triples, {} high-level changes\n",
         ctx.delta.added_count(),
         ctx.delta.removed_count(),
-        ctx.changes.len()
+        ctx.changes().len()
     );
     println!("Top finding of every measure:");
     for report in registry.compute_all(&ctx) {

@@ -7,7 +7,8 @@ use evorec::core::{
     UserProfile,
 };
 use evorec::graph::{
-    betweenness, betweenness_reference, k_hop_neighbourhood, k_hop_sums, SchemaGraph,
+    betweenness, betweenness_reference, bridging_centrality, k_hop_neighbourhood, k_hop_sums,
+    SchemaGraph,
 };
 use evorec::kb::{ntriples, FxHashMap, Term, TermId, Triple, TriplePattern, TripleStore};
 use evorec::measures::similarity;
@@ -406,6 +407,63 @@ proptest! {
         for term in (0..8).map(t) {
             prop_assert_eq!(ctx.changes_for_term(term), ctx.delta.changes_for_term(term), "{:?}", term);
         }
+    }
+
+    /// Sharing a predecessor's class graph never serves a stale
+    /// centrality. Over a random stream that mixes schema epochs
+    /// (subclass axioms, reflexive ones included, and typings) with
+    /// instance-only ones (links and annotations), every version's
+    /// substrate answers betweenness and bridging bit-identically to a
+    /// fresh computation over its own class graph, and shares its
+    /// predecessor's graph exactly when the two graphs are equal.
+    #[test]
+    fn shared_substrates_match_fresh_centralities(
+        base in prop::collection::vec((0usize..6, 0usize..6), 0..10),
+        epochs in prop::collection::vec((0u8..4, 0usize..6, 0usize..6), 1..12),
+    ) {
+        let mut vs = VersionedStore::new();
+        let v = *vs.vocab();
+        let mut terms = |prefix: &str| -> Vec<TermId> {
+            (0..6).map(|i| vs.intern_iri(format!("http://x/{prefix}{i}"))).collect()
+        };
+        let (classes, items, values) = (terms("C"), terms("i"), terms("v"));
+        let (link, note) = (vs.intern_iri("http://x/link"), vs.intern_iri("http://x/note"));
+        let base = base
+            .iter()
+            .map(|&(a, b)| Triple::new(classes[a], v.rdfs_subclassof, classes[b]));
+        vs.commit_snapshot("base", TripleStore::from_triples(base));
+        // Every stream ends on an annotation epoch, which leaves the
+        // class graph as it was.
+        for &(kind, a, b) in epochs.iter().chain([&(3, 0, 0)]) {
+            let triple = match kind {
+                0 => Triple::new(classes[a], v.rdfs_subclassof, classes[b]),
+                1 => Triple::new(items[a], v.rdf_type, classes[b]),
+                2 => Triple::new(items[a], link, items[b]),
+                _ => Triple::new(items[a], note, values[b]),
+            };
+            let head = vs.head().expect("the base is committed");
+            let delta = if vs.snapshot(head).contains(&triple) {
+                LowLevelDelta::from_parts([], [triple])
+            } else {
+                LowLevelDelta::from_parts([triple], [])
+            };
+            vs.commit_delta("epoch", Arc::new(delta));
+        }
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let substrates: Vec<_> = vs.versions().iter().map(|info| vs.substrate(info.id)).collect();
+        for (info, substrate) in vs.versions().iter().zip(&substrates) {
+            let fresh = SchemaGraph::from_schema_view(&vs.schema_view(info.id));
+            prop_assert!(**substrate.graph() == fresh, "{}", info.id);
+            prop_assert_eq!(bits(substrate.betweenness()), bits(&betweenness(&fresh)), "{}", info.id);
+            prop_assert_eq!(bits(substrate.bridging()), bits(&bridging_centrality(&fresh)), "{}", info.id);
+        }
+        for pair in substrates.windows(2) {
+            let equal = **pair[0].graph() == **pair[1].graph();
+            prop_assert_eq!(Arc::ptr_eq(pair[0].graph(), pair[1].graph()), equal);
+            prop_assert_eq!(Arc::ptr_eq(pair[0].betweenness(), pair[1].betweenness()), equal);
+        }
+        let last = &substrates[substrates.len() - 2..];
+        prop_assert!(Arc::ptr_eq(last[0].bridging(), last[1].bridging()), "the annotation epoch shares");
     }
 
     /// Kendall tau is symmetric, bounded, and 1.0 on self-comparison.

@@ -1,4 +1,5 @@
-//! The lint allowlist: explicitly acknowledged findings.
+//! The audit allowlist (`audit-allow.txt`): explicitly acknowledged
+//! findings.
 //!
 //! Format (one entry per line, `#` comments and blank lines ignored):
 //!
@@ -12,12 +13,19 @@
 //! slashes), and line number — so an allowlisted finding that moves
 //! must be re-acknowledged, and entries that no longer match anything
 //! are reported as stale. Policy: the allowlist is a last resort, kept
-//! empty; the `nan-sort`, `hot-path-panic`, and `relaxed-publish` rules
-//! must never be allowlisted (fix the code instead) — `evorec-lint`
-//! rejects such entries outright.
+//! empty; the rules in [`NEVER_ALLOWLIST`] must never be allowlisted
+//! (fix the code instead), and entries for them are rejected outright.
 
-/// Rules for which allowlisting is forbidden by policy.
-pub const NEVER_ALLOWLIST: [&str; 3] = ["nan-sort", "hot-path-panic", "relaxed-publish"];
+/// Rules for which allowlisting is forbidden by policy: NaN-unsafe
+/// sorts, panics on the hot path and relaxed publication corrupt or
+/// abort serving, and a nondeterministic fingerprint invalidates
+/// bit-identical replay at the root.
+pub const NEVER_ALLOWLIST: [&str; 4] = [
+    "nan-sort",
+    "hot-path-panic",
+    "relaxed-publish",
+    "taint-into-fingerprint",
+];
 
 /// One parsed allowlist entry.
 #[derive(Clone, Debug)]
@@ -44,13 +52,6 @@ impl Allowlist {
     /// malformed entries, missing reasons, or entries for rules in
     /// [`NEVER_ALLOWLIST`].
     pub fn parse(text: &str) -> Result<Allowlist, String> {
-        Self::parse_with_policy(text, &NEVER_ALLOWLIST)
-    }
-
-    /// [`parse`](Allowlist::parse) with an explicit never-allowlist
-    /// policy — `evorec-lint` and `evorec-audit` forbid different
-    /// rule sets but share everything else about the format.
-    pub fn parse_with_policy(text: &str, never: &[&str]) -> Result<Allowlist, String> {
         let mut entries = Vec::new();
         for (n, raw) in text.lines().enumerate() {
             let line = raw.trim();
@@ -73,7 +74,7 @@ impl Allowlist {
                     n + 1
                 ));
             }
-            if never.contains(&rule) {
+            if NEVER_ALLOWLIST.contains(&rule) {
                 return Err(format!(
                     "allowlist line {}: rule `{rule}` must never be allowlisted — fix the code",
                     n + 1
@@ -114,13 +115,13 @@ mod tests {
         assert_eq!(list.entries.len(), 1);
         assert_eq!(list.lookup("unbounded-queue", "crates/x/src/a.rs", 7), Some(0));
         assert_eq!(list.lookup("unbounded-queue", "crates/x/src/a.rs", 8), None);
-        assert_eq!(list.lookup("sleep-in-test", "crates/x/src/a.rs", 7), None);
+        assert_eq!(list.lookup("panic-reachable", "crates/x/src/a.rs", 7), None);
     }
 
     #[test]
     fn rejects_missing_reason() {
-        assert!(Allowlist::parse("sleep-in-test tests/a.rs 3").is_err());
-        assert!(Allowlist::parse("sleep-in-test tests/a.rs 3   ").is_err());
+        assert!(Allowlist::parse("unbounded-queue tests/a.rs 3").is_err());
+        assert!(Allowlist::parse("unbounded-queue tests/a.rs 3   ").is_err());
     }
 
     #[test]

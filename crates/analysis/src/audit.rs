@@ -1,34 +1,31 @@
-//! The `evorec-audit` pipeline: tokenize → parse → symbol table →
-//! call-graph facts → the three analysis passes (determinism taint,
-//! panic reachability, lock-order inference), merged into one
-//! deterministic finding list.
+//! The `evorec-audit` pipeline: walk the workspace, tokenize each file
+//! once, run the token [`rules`](crate::rules) on every file, then
+//! parse → symbol table → call-graph facts → the three analysis passes
+//! (determinism taint, panic reachability, lock-order inference),
+//! merged into one deterministic finding list.
 //!
-//! Where `evorec-lint` (PR 6) is token-local — it sees one file, one
-//! line at a time — the audit is *workspace-global*: taint flows and
-//! panic chains cross crate boundaries through the call graph. Both
-//! tools share the allowlist machinery; the audit has its own
-//! never-allowlist policy (`taint-into-fingerprint` can never be
-//! suppressed — a nondeterministic fingerprint silently poisons every
-//! replay comparison downstream).
+//! The token rules are file-local: they see one file at a time, and
+//! they read every `.rs` file, tests and vendored shims included. The
+//! parser passes are workspace-global: taint flows and panic chains
+//! cross crate boundaries through the call graph, so they read the
+//! workspace's own library and binary code only ([`is_parsed`]).
 //!
 //! Severity model: `deny` findings fail the build, `warn` findings are
 //! reported for review (`panic-reachable-indexing` and
 //! `lock-annotation-unused` — both dominated by sanctioned idioms a
-//! static view cannot fully discharge).
+//! static view cannot fully discharge). Every token-rule finding is
+//! `deny`. Findings are acknowledged in one [`Allowlist`], whose
+//! policy list names the rules that can never be acknowledged.
 
 use crate::allowlist::{Allowlist, Entry};
 use crate::callgraph::collect_facts;
-use crate::parser::{parse_file, ParsedFile};
+use crate::parser::parse_file;
+use crate::rules::{lint_source, FileClass};
 use crate::symbols::Symbols;
-use crate::tokenizer::{tokenize, Token};
+use crate::tokenizer::tokenize;
 use crate::{locks, panics, taint};
 use std::fs;
 use std::path::Path;
-
-/// Audit rules for which allowlisting is forbidden by policy: a
-/// nondeterministic fingerprint invalidates bit-identical replay at
-/// the root, so it is fixed at source, never acknowledged.
-pub const NEVER_ALLOWLIST: [&str; 1] = ["taint-into-fingerprint"];
 
 /// Whether a finding fails the build.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -76,15 +73,21 @@ pub struct SourceFile {
     pub source: String,
 }
 
-/// Directories the audit never descends into. `shims` is vendored
-/// third-party API surface, not workspace logic; `tests`/`benches`/
-/// `examples` are all-test code where panics and ad-hoc iteration are
-/// sanctioned.
-const SKIP_DIRS: [&str; 8] = [
-    "target", ".git", ".github", ".claude", "shims", "tests", "benches", "examples",
-];
+/// Directories whose files only the token rules read. `shims` is
+/// vendored third-party API surface, not workspace logic; `tests`/
+/// `benches`/`examples` are all-test code where panics and ad-hoc
+/// iteration are sanctioned.
+const TOKEN_ONLY_DIRS: [&str; 4] = ["shims", "tests", "benches", "examples"];
 
-/// Collect every auditable `.rs` file under `root`, sorted by label.
+/// Whether the parser passes read the file at `label`: no directory on
+/// its path is one of the token-only trees.
+pub fn is_parsed(label: &str) -> bool {
+    let dirs = label.rsplit_once('/').map_or("", |(dirs, _)| dirs);
+    !dirs.split('/').any(|d| TOKEN_ONLY_DIRS.contains(&d))
+}
+
+/// Collect every `.rs` file under `root`, sorted by label, skipping
+/// build output (`target`) and dot-directories (`.git`, `.github`, ...).
 pub fn collect_workspace(root: &Path) -> Result<Vec<SourceFile>, String> {
     let mut files = Vec::new();
     walk(root, root, &mut files)?;
@@ -103,7 +106,7 @@ fn walk(root: &Path, dir: &Path, out: &mut Vec<SourceFile>) -> Result<(), String
         let name = entry.file_name();
         let name = name.to_string_lossy();
         if path.is_dir() {
-            if SKIP_DIRS.contains(&name.as_ref()) {
+            if name == "target" || name.starts_with('.') {
                 continue;
             }
             walk(root, &path, out)?;
@@ -122,7 +125,7 @@ fn walk(root: &Path, dir: &Path, out: &mut Vec<SourceFile>) -> Result<(), String
 }
 
 /// Repo-relative path with forward slashes.
-pub fn relative_label(root: &Path, path: &Path) -> String {
+fn relative_label(root: &Path, path: &Path) -> String {
     let rel = path.strip_prefix(root).unwrap_or(path);
     rel.components()
         .map(|c| c.as_os_str().to_string_lossy())
@@ -139,19 +142,36 @@ fn crate_of(label: &str) -> String {
     }
 }
 
-/// Run the full audit pipeline over in-memory sources.
+/// Run the full audit pipeline over in-memory sources: the token rules
+/// on every file, the parser passes on the [`is_parsed`] ones.
 pub fn audit_sources(files: &[SourceFile]) -> Vec<AuditFinding> {
-    let tokens: Vec<Vec<Token>> = files.iter().map(|f| tokenize(&f.source)).collect();
-    let parsed: Vec<ParsedFile> = files
-        .iter()
-        .zip(&tokens)
-        .map(|(f, t)| parse_file(&f.label, &f.crate_name, t))
-        .collect();
-    let sym = Symbols::build(&parsed);
+    let mut findings = Vec::new();
+    let mut parsed_files = Vec::new();
+    let mut parsed_tokens = Vec::new();
+    for file in files {
+        let tokens = tokenize(&file.source);
+        findings.extend(
+            lint_source(&tokens, FileClass::of(&file.label))
+                .into_iter()
+                .map(|f| AuditFinding {
+                    rule: f.rule,
+                    path: file.label.clone(),
+                    line: f.line,
+                    message: f.message,
+                    chain: Vec::new(),
+                    severity: Severity::Deny,
+                }),
+        );
+        if is_parsed(&file.label) {
+            parsed_files.push(parse_file(&file.label, &file.crate_name, &tokens));
+            parsed_tokens.push(tokens);
+        }
+    }
+    let sym = Symbols::build(&parsed_files);
     let facts = collect_facts(&sym);
-    let mut findings = taint::run(&sym);
+    findings.extend(taint::run(&sym));
     findings.extend(panics::run(&sym, &facts));
-    findings.extend(locks::run(&sym, &facts, &tokens));
+    findings.extend(locks::run(&sym, &facts, &parsed_tokens));
     findings.sort_by(|a, b| {
         (&a.path, a.line, a.rule, &a.message).cmp(&(&b.path, b.line, b.rule, &b.message))
     });
@@ -252,6 +272,26 @@ mod tests {
     }
 
     #[test]
+    fn parser_passes_skip_the_token_only_trees() {
+        for label in [
+            "src/lib.rs",
+            "crates/core/src/lib.rs",
+            "crates/core/src/tests.rs",
+        ] {
+            assert!(is_parsed(label), "{label}");
+        }
+        for label in [
+            "tests/streaming.rs",
+            "crates/stream/tests/sched_log.rs",
+            "crates/bench/benches/windows.rs",
+            "examples/quickstart.rs",
+            "crates/shims/sched/src/lib.rs",
+        ] {
+            assert!(!is_parsed(label), "{label}");
+        }
+    }
+
+    #[test]
     fn allowlist_acknowledges_and_detects_stale() {
         let f = AuditFinding {
             rule: "panic-reachable",
@@ -261,10 +301,9 @@ mod tests {
             chain: Vec::new(),
             severity: Severity::Deny,
         };
-        let allow = Allowlist::parse_with_policy(
+        let allow = Allowlist::parse(
             "panic-reachable crates/x/src/a.rs 7 guarded by construction\n\
              panic-reachable crates/x/src/a.rs 99 stale entry",
-            &NEVER_ALLOWLIST,
         )
         .expect("valid allowlist");
         let outcome = apply_allowlist(vec![f], &allow);
@@ -276,11 +315,9 @@ mod tests {
 
     #[test]
     fn fingerprint_taint_is_never_allowlistable() {
-        let err = Allowlist::parse_with_policy(
-            "taint-into-fingerprint crates/x/src/a.rs 3 we promise it is fine",
-            &NEVER_ALLOWLIST,
-        )
-        .expect_err("must be rejected");
+        let err =
+            Allowlist::parse("taint-into-fingerprint crates/x/src/a.rs 3 we promise it is fine")
+                .expect_err("must be rejected");
         assert!(err.contains("never be allowlisted"), "{err}");
     }
 

@@ -1,22 +1,24 @@
-//! `evorec-audit`: workspace call-graph and determinism-taint audit.
+//! `evorec-audit`: the workspace's static-analysis gate.
 //!
 //! ```text
 //! cargo run -p evorec-analysis --bin evorec-audit [-- --root <dir>] [--allowlist <file>] [--json]
 //! ```
 //!
-//! Where `evorec-lint` checks token-local invariants file by file,
-//! `evorec-audit` parses the whole workspace, builds a cross-crate call
-//! graph, and runs three global passes: determinism taint (unordered
-//! iteration / clocks / RNG flowing into fingerprints, publishes,
-//! codecs, reports), panic reachability from the public serve surface,
-//! and lock-order inference against the `// lint: lock-order`
-//! annotations. Findings carry the full source → call-chain → sink
-//! evidence path.
+//! Runs the token rules (NaN-safe sort comparators, panic-free hot
+//! paths, publication-ordering atomics, bounded queues) on every
+//! workspace `.rs` file, then parses the workspace's own crates, builds
+//! a cross-crate call graph, and runs three global passes: determinism
+//! taint (unordered iteration / clocks / RNG flowing into
+//! fingerprints, publishes, codecs, reports), panic reachability from
+//! the public serve surface, and lock-order inference against the
+//! `// lint: lock-order` annotations. Findings of the global passes
+//! carry the full source → call-chain → sink evidence path.
 //!
 //! Exit codes: `0` clean (warn-level findings do not fail), `1` deny
 //! findings or stale/invalid allowlist entries, `2` usage or I/O
-//! error. Default allowlist is `<root>/audit-allow.txt`;
-//! `taint-into-fingerprint` can never be allowlisted.
+//! error. Default allowlist is `<root>/audit-allow.txt`; the rules in
+//! `evorec_analysis::allowlist::NEVER_ALLOWLIST` can never be
+//! allowlisted.
 
 use evorec_analysis::audit::{self, AuditFinding};
 use evorec_analysis::json::{self, Obj};
@@ -46,7 +48,8 @@ fn run() -> i32 {
             "--help" | "-h" => {
                 eprintln!(
                     "evorec-audit [--root <dir>] [--allowlist <file>] [--json]\n\
-                     Workspace-global determinism/panic/lock-order audit; \
+                     Token rules on every workspace source, then the \
+                     determinism/panic/lock-order audit; \
                      default allowlist is <root>/audit-allow.txt."
                 );
                 return 0;
@@ -56,7 +59,7 @@ fn run() -> i32 {
     }
     let allowlist_path = allowlist_path.unwrap_or_else(|| root.join("audit-allow.txt"));
     let allowlist = match std::fs::read_to_string(&allowlist_path) {
-        Ok(text) => match Allowlist::parse_with_policy(&text, &audit::NEVER_ALLOWLIST) {
+        Ok(text) => match Allowlist::parse(&text) {
             Ok(list) => list,
             Err(msg) => {
                 eprintln!("error: {}: {msg}", allowlist_path.display());
@@ -74,6 +77,7 @@ fn run() -> i32 {
         }
     };
     let file_count = files.len();
+    let parsed_count = files.iter().filter(|f| audit::is_parsed(&f.label)).count();
     let findings = audit::audit_sources(&files);
     let outcome = audit::apply_allowlist(findings, &allowlist);
 
@@ -113,14 +117,14 @@ fn run() -> i32 {
     if outcome.failed() {
         eprintln!(
             "evorec-audit: {deny} deny, {warn} warn finding(s), {} stale allowlist entr(y/ies) \
-             across {file_count} files",
+             across {file_count} files ({parsed_count} parsed)",
             outcome.stale.len()
         );
         1
     } else {
         eprintln!(
-            "evorec-audit: clean ({file_count} files, {warn} warn finding(s), \
-             {} acknowledged)",
+            "evorec-audit: clean ({file_count} files, {parsed_count} parsed, \
+             {warn} warn finding(s), {} acknowledged)",
             outcome.allowlisted.len()
         );
         0

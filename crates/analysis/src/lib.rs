@@ -1,23 +1,21 @@
-//! Static analysis for the evorec workspace: the `evorec-lint` rule
-//! engine and the `evorec-audit` workspace-global analyses.
+//! Static analysis for the evorec workspace: the `evorec-audit` gate.
 //!
-//! Two tools share this crate (and its dependency-free tokenizer — the
-//! workspace builds fully offline):
+//! One tool on a dependency-free tokenizer (the workspace builds fully
+//! offline), in two layers ([`audit`] wires them together):
 //!
-//! * **`evorec-lint`** — token-local rules, one file at a time. See
-//!   [`rules`] for the invariants enforced.
-//! * **`evorec-audit`** — a tolerant [`parser`] over the same tokens,
-//!   a workspace [`symbols`] table, a cross-crate [`callgraph`], and
-//!   three global passes on top: determinism [`taint`] (unordered
-//!   iteration / clocks / RNG flowing into fingerprints, publishes,
-//!   codecs and reports), [`panics`] reachability from the public
-//!   serve surface, and [`locks`] order inference cross-checked
-//!   against the `// lint: lock-order` annotations. [`audit`] wires
-//!   the pipeline together.
+//! * **Token rules** — file-local pattern checks over every workspace
+//!   `.rs` file. See [`rules`] for the invariants enforced.
+//! * **Global passes** — a tolerant [`parser`] over the same tokens, a
+//!   workspace [`symbols`] table, a cross-crate [`callgraph`], and
+//!   three passes on top: determinism [`taint`] (unordered iteration /
+//!   clocks / RNG flowing into fingerprints, publishes, codecs and
+//!   reports), [`panics`] reachability from the public serve surface,
+//!   and [`locks`] order inference cross-checked against the
+//!   `// lint: lock-order` annotations.
 //!
-//! Both tools share the [`allowlist`] machinery (mandatory reasons,
-//! stale entries fail) and emit the same `--json` finding shape via
-//! [`json`].
+//! Findings are acknowledged through one [`allowlist`] (mandatory
+//! reasons, stale entries fail, a never-allowlist policy) and emitted
+//! as text or, under `--json`, via [`json`].
 
 pub mod allowlist;
 pub mod audit;

@@ -1,15 +1,14 @@
 //! Lock-order inference: derive the lock-acquisition graph from the
 //! AST and cross-check it against the workspace's `// lint: lock-order`
-//! annotations.
+//! annotations — the workspace's only lock-order check.
 //!
-//! PR 6's token-level `lock-order` rule could only check that locks
-//! *named in an annotation* are first-acquired in the declared order
-//! within one function. This pass goes the other way: it finds every
-//! nested acquisition from the call graph — including ones nobody
-//! annotated — and requires the annotation to exist and agree. Cycles
-//! in the acquisition graph (the actual deadlock condition) are
-//! detected globally, across functions, using a may-acquire fixpoint
-//! over the call graph.
+//! The pass finds every nested acquisition — including ones nobody
+//! annotated — and requires a declared order to exist and agree.
+//! Acquisitions that are not nested (one function taking `b`, another
+//! later taking `a`) cannot deadlock and are not findings. Cycles in
+//! the acquisition graph (the actual deadlock condition) are detected
+//! globally, across functions, using a may-acquire fixpoint over the
+//! call graph.
 //!
 //! An acquisition is a `.lock()` / `.read()` / `.write()` call whose
 //! receiver's inferred type is `Mutex` or `RwLock`. Guard lifetimes

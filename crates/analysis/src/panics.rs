@@ -7,9 +7,12 @@
 //! from every public serve entry point and reports each transitively
 //! reachable panic site with the shortest call chain that reaches it.
 //!
-//! Supersedes PR 6's token-local `hot-path-panic` rule: that rule sees
-//! `unwrap` inside hot-path *files*; this pass sees `unwrap` three
-//! crates away through the call graph.
+//! Complements the token rule `hot-path-panic` ([`crate::rules`]);
+//! neither supersedes the other. This pass sees `unwrap` three crates
+//! away from the serve surface through the call graph, in any crate;
+//! the token rule sees `unwrap` anywhere in a hot-path crate's `src/`,
+//! including code no serve entry point reaches, such as the ingest
+//! path's `Ingestor::commit_epoch`.
 //!
 //! `assert!`/`assert_eq!` are deliberately not panic sites — they are
 //! the workspace's sanctioned precondition idiom. Computed indexing is

@@ -1,71 +1,85 @@
-//! The invariant rules `evorec-lint` enforces, as token-pattern
-//! matchers over [`crate::tokenizer`] output.
+//! The token rules of `evorec-audit`: pattern matchers over
+//! [`crate::tokenizer`] output, run on every workspace `.rs` file,
+//! including the `tests`, `benches`, `examples` and `shims` trees the
+//! parser passes skip. Every finding is `deny`.
 //!
 //! | rule id           | invariant |
 //! |-------------------|-----------|
 //! | `nan-sort`        | no `partial_cmp` inside a sort/min/max comparator (NaN makes the comparator non-total → `unwrap` panics or ordering corrupts); use `total_cmp` or `Ord::cmp` |
-//! | `hot-path-panic`  | no `.unwrap()` / `.expect(...)` / `panic!` in non-test code of the hot-path crates (core, stream, windows, adapt, kb); `assert!` remains the sanctioned precondition idiom |
+//! | `hot-path-panic`  | no `.unwrap()` / `.expect(...)` / `panic!` in non-test code of the [`HOT_PATH_CRATES`] (core, stream, windows, adapt, kb, obs, telemetry, serve); `assert!` remains the sanctioned precondition idiom |
 //! | `relaxed-publish` | no `Ordering::Relaxed` in a statement that publishes a pointer (`AtomicPtr`/`into_raw`/`from_raw`) or touches a field annotated `// lint: publishes` |
 //! | `unbounded-queue` | no unbounded queue construction (`mpsc::channel`, `unbounded(..)`, `unbounded_channel`) — backpressure is load-bearing, use `BoundedLog` |
-//! | `sleep-in-test`   | no `std::thread::sleep` in tests — sleeping races the scheduler; block on a primitive or spin on a counter |
-//! | `lock-order`      | within any one function, locks named in a `// lint: lock-order A < B` annotation must be first-acquired in that order |
 //!
 //! # Annotation grammar
 //!
-//! Annotations are ordinary line comments starting with `lint:`:
-//!
-//! * `// lint: lock-order A < B` — declares the acquisition order for
-//!   the named lock fields, checked per function body file-wide.
-//! * `// lint: publishes` — placed directly above a field declaration;
-//!   marks that field as participating in pointer/epoch publication, so
-//!   `Relaxed` ordering on it becomes a finding.
+//! `// lint: publishes`, a line comment placed directly above a field
+//! declaration, marks that field as participating in pointer/epoch
+//! publication, so `Relaxed` ordering on it becomes a finding. The
+//! other annotation, `// lint: lock-order A < B`, is read by the lock
+//! pass ([`crate::locks`]).
 
-use crate::tokenizer::{tokenize, Token, TokenKind};
+use crate::tokenizer::{Token, TokenKind};
 
-/// One diagnostic: a rule violated at a source position.
+/// The crates whose `src/` trees are the hot path: `hot-path-panic`
+/// applies there.
+pub const HOT_PATH_CRATES: [&str; 8] = [
+    "core",
+    "stream",
+    "windows",
+    "adapt",
+    "kb",
+    "obs",
+    "telemetry",
+    "serve",
+];
+
+/// One diagnostic: a rule violated at a source line.
 #[derive(Clone, Debug)]
 pub struct Finding {
     /// Stable rule identifier (used in allowlist entries).
     pub rule: &'static str,
     /// 1-based line.
     pub line: u32,
-    /// 1-based column.
-    pub col: u32,
     /// Human-readable explanation with the remediation.
     pub message: String,
 }
 
-/// How the file under lint is classified (derived from its path by the
-/// binary; explicit here so the engine is testable on bare strings).
+/// How a file is classified for the token rules; [`FileClass::of`]
+/// derives it from the file's path, and tests may state it directly.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FileClass {
-    /// In a hot-path crate's `src/` (core/stream/windows/adapt/kb):
-    /// the `hot-path-panic` rule applies outside test regions.
+    /// In the `src/` tree of one of the [`HOT_PATH_CRATES`]: the
+    /// `hot-path-panic` rule applies outside test regions.
     pub hot_path: bool,
-    /// An integration-test file (under a `tests/` directory): the
-    /// whole file is test context for `sleep-in-test`.
-    pub test_file: bool,
 }
 
-/// Lint one source file. Pure function of the text and its class.
-pub fn lint_source(source: &str, class: FileClass) -> Vec<Finding> {
-    let tokens = tokenize(source);
+impl FileClass {
+    /// Classify a repo-relative path with forward slashes.
+    pub fn of(label: &str) -> FileClass {
+        let hot_path = label
+            .strip_prefix("crates/")
+            .and_then(|rest| rest.split_once("/src/"))
+            .is_some_and(|(krate, _)| HOT_PATH_CRATES.contains(&krate));
+        FileClass { hot_path }
+    }
+}
+
+/// Run the token rules over one file's tokens. Pure function of the
+/// tokens and the file's class; findings come sorted by line.
+pub fn lint_source(tokens: &[Token], class: FileClass) -> Vec<Finding> {
     // Code-token view: rule patterns never span comments.
     let code: Vec<usize> = (0..tokens.len())
         .filter(|&i| !tokens[i].is_comment())
         .collect();
-    let test_regions = find_test_regions(&tokens, &code);
-    let annotations = parse_annotations(&tokens);
     let mut findings = Vec::new();
-    check_nan_sort(&tokens, &code, &mut findings);
+    check_nan_sort(tokens, &code, &mut findings);
     if class.hot_path {
-        check_hot_path_panic(&tokens, &code, &test_regions, &mut findings);
+        let test_regions = find_test_regions(tokens, &code);
+        check_hot_path_panic(tokens, &code, &test_regions, &mut findings);
     }
-    check_relaxed_publish(&tokens, &code, &annotations, &mut findings);
-    check_unbounded_queue(&tokens, &code, &mut findings);
-    check_sleep_in_test(&tokens, &code, &test_regions, class, &mut findings);
-    check_lock_order(&tokens, &code, &annotations, &mut findings);
-    findings.sort_by_key(|f| (f.line, f.col));
+    check_relaxed_publish(tokens, &code, &publish_fields(tokens), &mut findings);
+    check_unbounded_queue(tokens, &code, &mut findings);
+    findings.sort_by_key(|f| f.line);
     findings
 }
 
@@ -145,45 +159,28 @@ fn in_regions(regions: &[(usize, usize)], idx: usize) -> bool {
 
 // ---- annotations --------------------------------------------------------
 
-struct Annotations {
-    /// `(a, b)` pairs from `lock-order a < b`: a before b.
-    lock_orders: Vec<(String, String)>,
-    /// Field names annotated `// lint: publishes`.
-    publish_fields: Vec<String>,
-}
-
-fn parse_annotations(tokens: &[Token]) -> Annotations {
-    let mut lock_orders = Vec::new();
-    let mut publish_fields = Vec::new();
+/// Field names annotated `// lint: publishes`.
+fn publish_fields(tokens: &[Token]) -> Vec<String> {
+    let mut fields = Vec::new();
     for (i, tok) in tokens.iter().enumerate() {
         if tok.kind != TokenKind::LineComment {
             continue;
         }
         let body = tok.text.trim_start_matches('/').trim();
-        let Some(directive) = body.strip_prefix("lint:") else {
+        if body.strip_prefix("lint:").map(str::trim) != Some("publishes") {
             continue;
-        };
-        let directive = directive.trim();
-        if let Some(rest) = directive.strip_prefix("lock-order") {
-            if let Some((a, b)) = rest.split_once('<') {
-                lock_orders.push((a.trim().to_string(), b.trim().to_string()));
-            }
-        } else if directive == "publishes" {
-            // The annotated field is the next code identifier, skipping
-            // visibility qualifiers (`pub`, `pub(crate)`, ...).
-            if let Some(name) = tokens[i + 1..]
-                .iter()
-                .filter(|t| t.kind == TokenKind::Ident)
-                .find(|t| !matches!(t.text.as_str(), "pub" | "crate" | "super" | "in" | "self"))
-            {
-                publish_fields.push(name.text.clone());
-            }
+        }
+        // The annotated field is the next code identifier, skipping
+        // visibility qualifiers (`pub`, `pub(crate)`, ...).
+        if let Some(name) = tokens[i + 1..]
+            .iter()
+            .filter(|t| t.kind == TokenKind::Ident)
+            .find(|t| !matches!(t.text.as_str(), "pub" | "crate" | "super" | "in" | "self"))
+        {
+            fields.push(name.text.clone());
         }
     }
-    Annotations {
-        lock_orders,
-        publish_fields,
-    }
+    fields
 }
 
 // ---- rules --------------------------------------------------------------
@@ -225,7 +222,6 @@ fn check_nan_sort(tokens: &[Token], code: &[usize], findings: &mut Vec<Finding>)
                 findings.push(Finding {
                     rule: "nan-sort",
                     line: t.line,
-                    col: t.col,
                     message: "partial_cmp in a sort comparator is NaN-unsafe (non-total \
                               order panics or corrupts the sort); use f64::total_cmp or Ord::cmp"
                         .to_string(),
@@ -266,7 +262,6 @@ fn check_hot_path_panic(
             findings.push(Finding {
                 rule: "hot-path-panic",
                 line: t.line,
-                col: t.col,
                 message: format!(
                     "`{}` in non-test hot-path code can abort serving; {advice}",
                     t.text
@@ -301,7 +296,7 @@ fn statement_span(tokens: &[Token], code: &[usize], k: usize) -> (usize, usize) 
 fn check_relaxed_publish(
     tokens: &[Token],
     code: &[usize],
-    annotations: &Annotations,
+    publish_fields: &[String],
     findings: &mut Vec<Finding>,
 ) {
     for (k, &i) in code.iter().enumerate() {
@@ -318,8 +313,7 @@ fn check_relaxed_publish(
         let pointerish = stmt_idents
             .iter()
             .any(|s| matches!(*s, "AtomicPtr" | "into_raw" | "from_raw"));
-        let published_field = annotations
-            .publish_fields
+        let published_field = publish_fields
             .iter()
             .find(|f| stmt_idents.contains(&f.as_str()));
         if pointerish || published_field.is_some() {
@@ -330,7 +324,6 @@ fn check_relaxed_publish(
             findings.push(Finding {
                 rule: "relaxed-publish",
                 line: t.line,
-                col: t.col,
                 message: format!(
                     "Ordering::Relaxed on {what} gives readers no visibility guarantee \
                      for the data behind the publication; use Acquire/Release (or SeqCst)"
@@ -366,7 +359,6 @@ fn check_unbounded_queue(tokens: &[Token], code: &[usize], findings: &mut Vec<Fi
             findings.push(Finding {
                 rule: "unbounded-queue",
                 line: t.line,
-                col: t.col,
                 message: format!(
                     "`{}` constructs an unbounded queue — a slow consumer then buffers \
                      without limit; use BoundedLog (or another bounded primitive) so \
@@ -375,128 +367,5 @@ fn check_unbounded_queue(tokens: &[Token], code: &[usize], findings: &mut Vec<Fi
                 ),
             });
         }
-    }
-}
-
-fn check_sleep_in_test(
-    tokens: &[Token],
-    code: &[usize],
-    test_regions: &[(usize, usize)],
-    class: FileClass,
-    findings: &mut Vec<Finding>,
-) {
-    for (k, &i) in code.iter().enumerate() {
-        let t = &tokens[i];
-        if !t.is_ident("sleep") {
-            continue;
-        }
-        let is_thread_sleep = k >= 3
-            && tokens[code[k - 1]].is_punct(':')
-            && tokens[code[k - 2]].is_punct(':')
-            && tokens[code[k - 3]].is_ident("thread");
-        if !is_thread_sleep {
-            continue;
-        }
-        if class.test_file || in_regions(test_regions, i) {
-            findings.push(Finding {
-                rule: "sleep-in-test",
-                line: t.line,
-                col: t.col,
-                message: "thread::sleep in a test races the scheduler (flaky under load, \
-                          slow always); block on the primitive under test or spin on an \
-                          observable counter with yield_now"
-                    .to_string(),
-            });
-        }
-    }
-}
-
-fn check_lock_order(
-    tokens: &[Token],
-    code: &[usize],
-    annotations: &Annotations,
-    findings: &mut Vec<Finding>,
-) {
-    if annotations.lock_orders.is_empty() {
-        return;
-    }
-    // Function bodies: `fn name ... {` to the matching `}`.
-    let mut k = 0usize;
-    while k < code.len() {
-        if !tokens[code[k]].is_ident("fn") {
-            k += 1;
-            continue;
-        }
-        // Find the body's opening brace (signatures contain no `{`; a
-        // `;` first means a trait/extern declaration without body).
-        let mut open = None;
-        let mut j = k + 1;
-        while j < code.len() {
-            let t = &tokens[code[j]];
-            if t.is_punct('{') {
-                open = Some(j);
-                break;
-            }
-            if t.is_punct(';') {
-                break;
-            }
-            j += 1;
-        }
-        let Some(open) = open else {
-            k = j + 1;
-            continue;
-        };
-        let mut depth = 0usize;
-        let mut close = open;
-        for (m, &idx) in code.iter().enumerate().skip(open) {
-            let t = &tokens[idx];
-            if t.is_punct('{') {
-                depth += 1;
-            } else if t.is_punct('}') {
-                depth -= 1;
-                if depth == 0 {
-                    close = m;
-                    break;
-                }
-            }
-        }
-        // First acquisition position of each annotated lock name:
-        // `name . lock|read|write (`.
-        let mut first_acq: Vec<(&str, usize, &Token)> = Vec::new();
-        for m in open..=close {
-            let t = &tokens[code[m]];
-            if t.kind != TokenKind::Ident {
-                continue;
-            }
-            let is_acq = code.get(m + 1).is_some_and(|&d| tokens[d].is_punct('.'))
-                && code.get(m + 2).is_some_and(|&f| {
-                    tokens[f].is_ident("lock")
-                        || tokens[f].is_ident("read")
-                        || tokens[f].is_ident("write")
-                })
-                && code.get(m + 3).is_some_and(|&p| tokens[p].is_punct('('));
-            if is_acq && !first_acq.iter().any(|(n, _, _)| *n == t.text.as_str()) {
-                first_acq.push((t.text.as_str(), m, t));
-            }
-        }
-        for (a, b) in &annotations.lock_orders {
-            let pos_a = first_acq.iter().find(|(n, _, _)| n == a);
-            let pos_b = first_acq.iter().find(|(n, _, _)| n == b);
-            if let (Some((_, ka, _)), Some((_, kb, tb))) = (pos_a, pos_b) {
-                if kb < ka {
-                    findings.push(Finding {
-                        rule: "lock-order",
-                        line: tb.line,
-                        col: tb.col,
-                        message: format!(
-                            "`{b}` acquired before `{a}`, violating the declared order \
-                             `lock-order {a} < {b}` — inverted acquisition deadlocks \
-                             against a thread following the declared order"
-                        ),
-                    });
-                }
-            }
-        }
-        k = close + 1;
     }
 }

@@ -1,10 +1,13 @@
 //! Paired tainted/clean fixture programs pinning the audit pipeline's
 //! behaviour: every taint source, sink and cleanser has a twin pair
 //! (the tainted member must fire, the clean member must not), panic
-//! reachability is pinned through a multi-hop chain, and the lock pass
-//! is pinned on an inferred-vs-annotated mismatch. The final test runs
-//! the full pipeline over the real workspace and requires zero deny
-//! findings with an empty allowlist — the audit gate this PR ships.
+//! reachability is pinned through a multi-hop chain, the lock pass is
+//! pinned on inferred-vs-annotated mismatches and on the non-nested
+//! acquisitions it leaves alone, and the token rules are pinned where
+//! only they reach: test trees the parser passes skip, and hot-path code
+//! no serve entry point calls. The final test runs the full pipeline
+//! over the real workspace and requires zero deny findings with an
+//! empty allowlist — the audit gate itself.
 
 use evorec_analysis::audit::{audit_sources, collect_workspace, SourceFile};
 use evorec_analysis::{AuditFinding, Severity};
@@ -442,6 +445,109 @@ fn lock_acquisition_contradicting_annotation_is_denied() {
     assert_pair(&tainted, &clean, "lock-order-undeclared");
 }
 
+#[test]
+fn lock_acquisition_inverting_a_field_annotation_is_denied() {
+    let shard = |body: &str| {
+        [src(
+            "crates/core/src/shard.rs",
+            &format!(
+                "pub struct Shard {{\n\
+                     // lint: lock-order writer < map\n\
+                     writer: Mutex<()>,\n\
+                     map: RwLock<Map>,\n\
+                 }}\n\
+                 impl Shard {{\n{body}\n}}"
+            ),
+        )]
+    };
+    let tainted = shard(
+        "fn bad(&self) { let m = self.map.write(); let w = self.writer.lock(); drop((m, w)); }",
+    );
+    let clean = shard(
+        "fn good(&self) { let w = self.writer.lock(); let m = self.map.write(); drop((w, m)); }",
+    );
+    assert_pair(&tainted, &clean, "lock-order-undeclared");
+}
+
+#[test]
+fn lock_order_quiet_on_declared_order_or_single_lock() {
+    let files = [src(
+        "crates/core/src/shard.rs",
+        "pub struct Shard {\n\
+             // lint: lock-order writer < map\n\
+             writer: Mutex<()>,\n\
+             map: RwLock<Map>,\n\
+         }\n\
+         impl Shard {\n\
+             fn good(&self) { let w = self.writer.lock(); let m = self.map.write(); drop((w, m)); }\n\
+             fn read_only(&self) { let m = self.map.read(); drop(m); }\n\
+             fn write_only(&self) { let w = self.writer.lock(); drop(w); }\n\
+         }",
+    )];
+    let findings = audit_sources(&files);
+    assert!(findings.is_empty(), "{findings:?}");
+}
+
+#[test]
+fn lock_order_is_per_nesting_not_per_file() {
+    // One function takes only `map`, another (later in the file) takes
+    // only `writer`: no acquisition is nested, so nothing can deadlock
+    // and nothing is denied. The unused declaration is only a warning.
+    let files = [src(
+        "crates/core/src/shard.rs",
+        "pub struct Shard {\n\
+             // lint: lock-order writer < map\n\
+             writer: Mutex<()>,\n\
+             map: RwLock<Map>,\n\
+         }\n\
+         impl Shard {\n\
+             fn only_map(&self) { let m = self.map.write(); drop(m); }\n\
+             fn only_writer(&self) { let w = self.writer.lock(); drop(w); }\n\
+         }",
+    )];
+    assert!(deny_rules(&files).is_empty(), "{:?}", audit_sources(&files));
+}
+
+// ---- token rules ----------------------------------------------------------
+
+#[test]
+fn token_rules_read_the_test_trees_the_parser_passes_skip() {
+    let tainted = [src(
+        "tests/ranking.rs",
+        "fn rank(v: &mut Vec<f64>) { v.sort_by(|a, b| a.partial_cmp(b).unwrap()); }",
+    )];
+    let clean = [src(
+        "tests/ranking.rs",
+        "fn rank(v: &mut Vec<f64>) { v.sort_by(|a, b| a.total_cmp(b)); }",
+    )];
+    assert_pair(&tainted, &clean, "nan-sort");
+}
+
+#[test]
+fn hot_path_panic_holds_where_no_serve_entry_point_reaches() {
+    // The ingest path is not reachable from the serve surface, so the
+    // panic-reachability pass stays silent on it: the token rule alone
+    // keeps `Ingestor::commit_epoch` panic-free.
+    let ingestor = |take: &str| {
+        [src(
+            "crates/stream/src/ingest.rs",
+            &format!(
+                "pub struct Ingestor {{ pending: Option<u64> }}\n\
+                 impl Ingestor {{\n\
+                     pub fn commit_epoch(&mut self) -> u64 {{ self.pending.take().{take} }}\n\
+                 }}"
+            ),
+        )]
+    };
+    let tainted = ingestor("unwrap()");
+    assert_pair(&tainted, &ingestor("unwrap_or(0)"), "hot-path-panic");
+    let hit = audit_sources(&tainted);
+    assert!(
+        hit.iter().all(|f| f.rule == "hot-path-panic"),
+        "only the token rule fires: {hit:?}"
+    );
+}
+
 // ---- the gate itself ----------------------------------------------------
 
 #[test]
@@ -449,6 +555,10 @@ fn workspace_audit_is_clean_with_empty_allowlist() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("..").join("..");
     let files = collect_workspace(&root).expect("walk workspace sources");
     assert!(files.len() > 50, "workspace walk looks truncated: {}", files.len());
+    assert!(
+        files.iter().any(|f| f.label.starts_with("tests/")),
+        "the token rules read the test trees too"
+    );
     let denies: Vec<AuditFinding> = audit_sources(&files)
         .into_iter()
         .filter(|f| f.severity == Severity::Deny)

@@ -28,7 +28,13 @@ impl MeasureReport {
         mut scores: Vec<(TermId, f64)>,
     ) -> MeasureReport {
         scores.retain(|(_, s)| s.is_finite());
-        scores.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+        // `+ 0.0` turns −0.0 into +0.0 for the comparison only, so the
+        // two zeros tie by term id and every stored score keeps its bits.
+        scores.sort_unstable_by(|a, b| {
+            (b.1 + 0.0)
+                .total_cmp(&(a.1 + 0.0))
+                .then_with(|| a.0.cmp(&b.0))
+        });
         let rank_index = scores
             .iter()
             .enumerate()
@@ -136,6 +142,25 @@ mod tests {
         let r = report(vec![(t(3), 1.0), (t(1), 5.0), (t(2), 1.0), (t(0), 3.0)]);
         let order: Vec<TermId> = r.scores().iter().map(|&(t, _)| t).collect();
         assert_eq!(order, vec![t(1), t(0), t(2), t(3)], "tie 2-vs-3 by id");
+    }
+
+    #[test]
+    fn signed_zero_scores_tie_by_ascending_term_id() {
+        // An empty neighbourhood sums to −0.0; it ties with +0.0.
+        let r = report(vec![
+            (t(4), 0.0),
+            (t(3), -0.0),
+            (t(2), 0.0),
+            (t(1), -0.0),
+            (t(0), 1.0),
+        ]);
+        let order: Vec<TermId> = r.scores().iter().map(|&(t, _)| t).collect();
+        assert_eq!(order, vec![t(0), t(1), t(2), t(3), t(4)]);
+        assert_eq!(
+            r.score_of(t(3)).map(f64::to_bits),
+            Some((-0.0f64).to_bits())
+        );
+        assert_eq!(r.score_of(t(2)).map(f64::to_bits), Some(0.0f64.to_bits()));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! | `nan-sort`        | no `partial_cmp` inside a sort/min/max comparator (NaN makes the comparator non-total → `unwrap` panics or ordering corrupts); use `total_cmp` or `Ord::cmp` |
 //! | `hot-path-panic`  | no `.unwrap()` / `.expect(...)` / `panic!` in non-test code of the [`HOT_PATH_CRATES`] (core, stream, windows, adapt, kb, obs, telemetry, serve); `assert!` remains the sanctioned precondition idiom |
 //! | `relaxed-publish` | no `Ordering::Relaxed` in a statement that publishes a pointer (`AtomicPtr`/`into_raw`/`from_raw`) or touches a field annotated `// lint: publishes` |
-//! | `unbounded-queue` | no unbounded queue construction (`mpsc::channel`, `unbounded(..)`, `unbounded_channel`) — backpressure is load-bearing, use `BoundedLog` |
+//! | `unbounded-queue` | no unbounded queue construction (`mpsc::channel`, `unbounded(..)`, `unbounded_channel`, each also with a turbofish) — backpressure is load-bearing, use `BoundedLog` |
 //!
 //! # Annotation grammar
 //!
@@ -333,16 +333,39 @@ fn check_relaxed_publish(
     }
 }
 
+/// `true` when the identifier at `code[k]` is called: `(` follows it,
+/// directly or after a turbofish (`name::<T>(`, generics nested).
+fn is_called(tokens: &[Token], code: &[usize], k: usize) -> bool {
+    let punct = |j: usize, ch| code.get(j).is_some_and(|&n| tokens[n].is_punct(ch));
+    let mut j = k + 1;
+    if punct(j, ':') && punct(j + 1, ':') && punct(j + 2, '<') {
+        j += 2;
+        let mut depth = 0usize;
+        loop {
+            if j >= code.len() {
+                return false;
+            }
+            if punct(j, '<') {
+                depth += 1;
+            } else if punct(j, '>') && !punct(j - 1, '-') {
+                depth -= 1;
+                if depth == 0 {
+                    break;
+                }
+            }
+            j += 1;
+        }
+        j += 1;
+    }
+    punct(j, '(')
+}
+
 fn check_unbounded_queue(tokens: &[Token], code: &[usize], findings: &mut Vec<Finding>) {
     for (k, &i) in code.iter().enumerate() {
         let t = &tokens[i];
         if t.kind != TokenKind::Ident {
             continue;
         }
-        let next_is = |ch| {
-            code.get(k + 1)
-                .is_some_and(|&n| tokens[n].is_punct(ch))
-        };
         let prev2_ident = |name: &str| {
             k >= 2
                 && tokens[code[k - 1]].is_punct(':')
@@ -351,8 +374,8 @@ fn check_unbounded_queue(tokens: &[Token], code: &[usize], findings: &mut Vec<Fi
                 && tokens[code[k - 3]].is_ident(name)
         };
         let hit = match t.text.as_str() {
-            "channel" if next_is('(') && prev2_ident("mpsc") => true,
-            "unbounded" | "unbounded_channel" if next_is('(') => true,
+            "channel" if is_called(tokens, code, k) && prev2_ident("mpsc") => true,
+            "unbounded" | "unbounded_channel" if is_called(tokens, code, k) => true,
             _ => false,
         };
         if hit {

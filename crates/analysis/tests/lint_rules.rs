@@ -153,16 +153,17 @@ fn relaxed_publish_quiet_on_plain_counters_and_acqrel_publishes() {
 
 #[test]
 fn unbounded_queue_fires_on_the_usual_constructors() {
+    // A turbofish may sit between the name and the paren.
     let src = "fn f() {\n\
                let (_tx, _rx) = std::sync::mpsc::channel::<u32>();\n\
                }";
-    // `channel::<u32>()` — the turbofish sits between name and paren,
-    // so exercise the plain form too.
     let src2 = "fn f() { let (_tx, _rx) = mpsc::channel(); let _q = unbounded(); }";
     let src3 = "fn f() { let (_tx, _rx) = unbounded_channel(); }";
-    assert!(rules_hit(src, PLAIN).len() <= 1, "turbofish form is best-effort");
+    let src4 = "fn f() { let _q = unbounded::<Vec<fn() -> u8>>(); }";
+    assert_eq!(rules_hit(src, PLAIN), vec!["unbounded-queue"]);
     assert_eq!(rules_hit(src2, PLAIN), vec!["unbounded-queue", "unbounded-queue"]);
     assert_eq!(rules_hit(src3, PLAIN), vec!["unbounded-queue"]);
+    assert_eq!(rules_hit(src4, PLAIN), vec!["unbounded-queue"]);
 }
 
 #[test]

@@ -1,8 +1,13 @@
 //! Criterion micro-benchmarks for the storage / delta / graph substrate.
 //!
 //! Backs the E2 feasibility claim at the component level: pattern
-//! queries, snapshot diffing, the delta wire codec, and Brandes
-//! betweenness.
+//! queries, snapshot cloning and diffing, the delta wire codec, and
+//! Brandes betweenness. A `TripleStore` is one B-tree set in SPO order,
+//! so `store/match_predicate_400c` and `store/mentioning_400c` time
+//! filtered scans of the whole snapshot (no read without a bound
+//! subject has an index), while the clone, `delta/apply` and
+//! `codec/decode` cases time the writes and copies that one set makes
+//! cheap.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use evorec_graph::{betweenness, SchemaGraph};

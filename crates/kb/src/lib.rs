@@ -8,7 +8,7 @@
 //! - [`Term`] / [`TermId`] — RDF terms and their interned identifiers;
 //! - [`TermInterner`] — the shared bidirectional dictionary;
 //! - [`Triple`] / [`TriplePattern`] / [`TripleStore`] — an in-memory
-//!   store with three covering indexes (SPO / POS / OSP);
+//!   store holding one ordered set of triples (SPO order);
 //! - [`ntriples`] — N-Triples parsing and canonical serialisation;
 //! - [`Vocab`] — pre-interned RDF/RDFS/OWL vocabulary;
 //! - [`SchemaView`] — the schema digest (classes, subsumption,

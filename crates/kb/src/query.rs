@@ -4,7 +4,8 @@
 //! knowledge base"; this module provides the conjunctive-pattern queries
 //! that exploration needs: a [`Query`] is a set of triple patterns over
 //! shared [`Var`]iables, evaluated by a selectivity-ordered backtracking
-//! join against the store's covering indexes.
+//! join over [`TripleStore::match_pattern`]: a range scan where a
+//! pattern's subject is bound, a filtered scan otherwise.
 //!
 //! ```
 //! use evorec_kb::{Graph, Term};

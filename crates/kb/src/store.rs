@@ -1,33 +1,30 @@
-//! Indexed triple store.
+//! Triple store: one ordered set of triples.
 
 use crate::fxhash::FxHasher;
 use crate::term::TermId;
 use crate::triple::{Triple, TriplePattern};
 use std::collections::BTreeSet;
 use std::hash::Hasher;
-use std::ops::Bound;
 
-type Key = (TermId, TermId, TermId);
-
-/// An in-memory triple store with three covering indexes (SPO, POS, OSP).
+/// An in-memory triple store: one B-tree set of triples in SPO order.
 ///
-/// Every access pattern with at least one bound position resolves to a
-/// contiguous range scan over one of the indexes:
+/// A read with a bound subject is a range scan; any other read filters
+/// the whole set:
 ///
-/// | bound      | index | range prefix |
-/// |------------|-------|--------------|
-/// | s / s,p    | SPO   | (s) / (s,p)  |
-/// | p / p,o    | POS   | (p) / (p,o)  |
-/// | o / o,s    | OSP   | (o) / (o,s)  |
-/// | s,p,o      | SPO   | membership   |
+/// | bound              | read                          |
+/// |--------------------|-------------------------------|
+/// | s / s,o            | range (s), then filter on o   |
+/// | s,p / s,p,o        | range (s,p) / (s,p,o)         |
+/// | no subject         | filtered scan of every triple |
 ///
-/// The store is the snapshot representation used by the versioning layer;
-/// ordered iteration (SPO order) makes snapshot diffing a linear merge.
-#[derive(Default, Clone)]
+/// The store is the snapshot, delta and span representation of the
+/// versioning layer, which clones, edits and diffs stores on every
+/// epoch and reads a pattern without a subject rarely, so one set is
+/// kept rather than one per access order. Ordered iteration makes
+/// snapshot diffing a linear merge.
+#[derive(Default, Clone, PartialEq, Eq)]
 pub struct TripleStore {
-    spo: BTreeSet<Key>,
-    pos: BTreeSet<Key>,
-    osp: BTreeSet<Key>,
+    spo: BTreeSet<Triple>,
 }
 
 impl TripleStore {
@@ -38,41 +35,29 @@ impl TripleStore {
 
     /// Build a store from an iterator of triples (duplicates collapse).
     pub fn from_triples(triples: impl IntoIterator<Item = Triple>) -> Self {
-        let mut store = TripleStore::new();
-        store.extend(triples);
-        store
+        TripleStore {
+            spo: triples.into_iter().collect(),
+        }
     }
 
     /// Insert a triple. Returns `true` if it was not already present.
     pub fn insert(&mut self, t: Triple) -> bool {
-        let fresh = self.spo.insert((t.s, t.p, t.o));
-        if fresh {
-            self.pos.insert((t.p, t.o, t.s));
-            self.osp.insert((t.o, t.s, t.p));
-        }
-        fresh
+        self.spo.insert(t)
     }
 
     /// Remove a triple. Returns `true` if it was present.
     pub fn remove(&mut self, t: &Triple) -> bool {
-        let had = self.spo.remove(&(t.s, t.p, t.o));
-        if had {
-            self.pos.remove(&(t.p, t.o, t.s));
-            self.osp.remove(&(t.o, t.s, t.p));
-        }
-        had
+        self.spo.remove(t)
     }
 
     /// Insert every triple from `iter`.
     pub fn extend(&mut self, iter: impl IntoIterator<Item = Triple>) {
-        for t in iter {
-            self.insert(t);
-        }
+        self.spo.extend(iter);
     }
 
     /// `true` if the exact triple is present.
     pub fn contains(&self, t: &Triple) -> bool {
-        self.spo.contains(&(t.s, t.p, t.o))
+        self.spo.contains(t)
     }
 
     /// Number of stored triples.
@@ -87,111 +72,54 @@ impl TripleStore {
 
     /// Iterate all triples in SPO order.
     pub fn iter(&self) -> impl Iterator<Item = Triple> + '_ {
-        self.spo.iter().map(|&(s, p, o)| Triple::new(s, p, o))
+        self.spo.iter().copied()
     }
 
-    /// Iterate triples matching `pattern`, using the best covering index.
+    /// Iterate triples matching `pattern`, in SPO order: a range scan
+    /// when the subject is bound, a filtered scan otherwise.
     pub fn match_pattern(&self, pattern: TriplePattern) -> Box<dyn Iterator<Item = Triple> + '_> {
-        fn range(
-            set: &BTreeSet<Key>,
-            first: TermId,
-            second: Option<TermId>,
-        ) -> impl Iterator<Item = Key> + '_ {
-            let (lo, hi) = match second {
-                Some(second) => (
-                    (first, second, TermId::MIN),
-                    (first, second, TermId::MAX),
-                ),
-                None => (
-                    (first, TermId::MIN, TermId::MIN),
-                    (first, TermId::MAX, TermId::MAX),
-                ),
-            };
-            set.range((Bound::Included(lo), Bound::Included(hi))).copied()
-        }
-
-        match (pattern.s, pattern.p, pattern.o) {
-            (Some(s), Some(p), Some(o)) => {
-                let t = Triple::new(s, p, o);
-                if self.contains(&t) {
-                    Box::new(std::iter::once(t))
-                } else {
-                    Box::new(std::iter::empty())
-                }
-            }
-            (Some(s), p, None) => {
-                Box::new(range(&self.spo, s, p).map(|(s, p, o)| Triple::new(s, p, o)))
-            }
-            (None, Some(p), o) => {
-                Box::new(range(&self.pos, p, o).map(|(p, o, s)| Triple::new(s, p, o)))
-            }
-            (s, None, Some(o)) => {
-                Box::new(range(&self.osp, o, s).map(|(o, s, p)| Triple::new(s, p, o)))
-            }
-            (None, None, None) => Box::new(self.iter()),
-        }
+        let Some(s) = pattern.s else {
+            return Box::new(self.iter().filter(move |t| pattern.matches(t)));
+        };
+        let (lo, hi) = match pattern.p {
+            Some(p) => (
+                Triple::new(s, p, pattern.o.unwrap_or(TermId::MIN)),
+                Triple::new(s, p, pattern.o.unwrap_or(TermId::MAX)),
+            ),
+            None => (
+                Triple::new(s, TermId::MIN, TermId::MIN),
+                Triple::new(s, TermId::MAX, TermId::MAX),
+            ),
+        };
+        Box::new(
+            self.spo
+                .range(lo..=hi)
+                .copied()
+                .filter(move |t| pattern.matches(t)),
+        )
     }
 
-    /// All objects `o` of triples `(s, p, o)`.
-    pub fn objects_of(&self, s: TermId, p: TermId) -> impl Iterator<Item = TermId> + '_ {
-        range2(&self.spo, s, p).map(|(_, _, o)| o)
+    /// All triples whose predicate is `p`, ordered by (object, subject).
+    /// A filtered scan, sorted so that callers which fill hash maps or
+    /// change lists in this order get the same maps and lists whatever
+    /// the store's own order.
+    pub fn with_predicate(&self, p: TermId) -> impl Iterator<Item = Triple> {
+        let mut out: Vec<Triple> = self.iter().filter(|t| t.p == p).collect();
+        out.sort_unstable_by_key(|t| (t.o, t.s));
+        out.into_iter()
     }
 
-    /// All subjects `s` of triples `(s, p, o)`.
-    pub fn subjects_of(&self, p: TermId, o: TermId) -> impl Iterator<Item = TermId> + '_ {
-        range2(&self.pos, p, o).map(|(_, _, s)| s)
-    }
-
-    /// All triples whose predicate is `p`.
-    pub fn with_predicate(&self, p: TermId) -> impl Iterator<Item = Triple> + '_ {
-        range1(&self.pos, p).map(|(p, o, s)| Triple::new(s, p, o))
-    }
-
-    /// All triples whose subject is `s`.
-    pub fn with_subject(&self, s: TermId) -> impl Iterator<Item = Triple> + '_ {
-        range1(&self.spo, s).map(|(s, p, o)| Triple::new(s, p, o))
-    }
-
-    /// All triples whose object is `o`.
-    pub fn with_object(&self, o: TermId) -> impl Iterator<Item = Triple> + '_ {
-        range1(&self.osp, o).map(|(o, s, p)| Triple::new(s, p, o))
-    }
-
-    /// Triples mentioning `term` in any position, deduplicated, in SPO
-    /// order. This realises the δ(n) restriction of ICDE'17 §II(a) when
-    /// applied to delta stores.
+    /// Triples mentioning `term` in any position, each once, in SPO
+    /// order (a filtered scan). This realises the δ(n) restriction of
+    /// ICDE'17 §II(a) when applied to delta stores.
     pub fn mentioning(&self, term: TermId) -> Vec<Triple> {
-        let mut out: Vec<Triple> = self
-            .with_subject(term)
-            .chain(self.with_predicate(term))
-            .chain(self.with_object(term))
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        out
+        self.iter().filter(|t| t.mentions(term)).collect()
     }
 
-    /// Number of triples mentioning `term` in any position.
+    /// Number of triples mentioning `term` in any position, each counted
+    /// once however many positions it holds `term` in.
     pub fn mention_count(&self, term: TermId) -> usize {
-        // Count each position then correct for triples where the term
-        // occupies several positions (rare but possible, e.g. reflexive
-        // statements).
-        self.mentioning(term).len()
-    }
-
-    /// Distinct predicates, in ascending id order.
-    pub fn distinct_predicates(&self) -> Vec<TermId> {
-        distinct_firsts(&self.pos)
-    }
-
-    /// Distinct subjects, in ascending id order.
-    pub fn distinct_subjects(&self) -> Vec<TermId> {
-        distinct_firsts(&self.spo)
-    }
-
-    /// Distinct objects, in ascending id order.
-    pub fn distinct_objects(&self) -> Vec<TermId> {
-        distinct_firsts(&self.osp)
+        self.iter().filter(|t| t.mentions(term)).count()
     }
 
     /// Order-independent content digest: the XOR of every triple's
@@ -199,12 +127,12 @@ impl TripleStore {
     /// leak into it and different salts keep the digests of different
     /// roles (e.g. the two ends of an evolution step) apart.
     pub fn content_digest(&self, salt: u64) -> u64 {
-        self.spo.iter().fold(0u64, |acc, &(s, p, o)| {
+        self.spo.iter().fold(0u64, |acc, t| {
             let mut h = FxHasher::default();
             h.write_u64(salt);
-            h.write_u32(s.as_u32());
-            h.write_u32(p.as_u32());
-            h.write_u32(o.as_u32());
+            h.write_u32(t.s.as_u32());
+            h.write_u32(t.p.as_u32());
+            h.write_u32(t.o.as_u32());
             acc ^ h.finish()
         })
     }
@@ -212,9 +140,7 @@ impl TripleStore {
     /// Triples present in `self` but not in `other` (a set difference in
     /// SPO order; the building block of low-level deltas).
     pub fn difference<'a>(&'a self, other: &'a TripleStore) -> impl Iterator<Item = Triple> + 'a {
-        self.spo
-            .difference(&other.spo)
-            .map(|&(s, p, o)| Triple::new(s, p, o))
+        self.spo.difference(&other.spo).copied()
     }
 }
 
@@ -230,54 +156,6 @@ impl FromIterator<Triple> for TripleStore {
     fn from_iter<I: IntoIterator<Item = Triple>>(iter: I) -> Self {
         TripleStore::from_triples(iter)
     }
-}
-
-impl PartialEq for TripleStore {
-    fn eq(&self, other: &Self) -> bool {
-        self.spo == other.spo
-    }
-}
-
-impl Eq for TripleStore {}
-
-fn range1(set: &BTreeSet<Key>, first: TermId) -> impl Iterator<Item = Key> + '_ {
-    set.range((
-        Bound::Included((first, TermId::MIN, TermId::MIN)),
-        Bound::Included((first, TermId::MAX, TermId::MAX)),
-    ))
-    .copied()
-}
-
-fn range2(set: &BTreeSet<Key>, first: TermId, second: TermId) -> impl Iterator<Item = Key> + '_ {
-    set.range((
-        Bound::Included((first, second, TermId::MIN)),
-        Bound::Included((first, second, TermId::MAX)),
-    ))
-    .copied()
-}
-
-fn distinct_firsts(set: &BTreeSet<Key>) -> Vec<TermId> {
-    let mut out = Vec::new();
-    let mut cursor = TermId::MIN;
-    loop {
-        let next = set
-            .range((
-                Bound::Included((cursor, TermId::MIN, TermId::MIN)),
-                Bound::Unbounded,
-            ))
-            .next();
-        match next {
-            Some(&(first, _, _)) => {
-                out.push(first);
-                if first == TermId::MAX {
-                    break;
-                }
-                cursor = TermId::from_u32(first.as_u32() + 1);
-            }
-            None => break,
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -303,7 +181,7 @@ mod tests {
     }
 
     #[test]
-    fn insert_is_idempotent_across_indexes() {
+    fn insert_is_idempotent() {
         let mut s = TripleStore::new();
         assert!(s.insert(tr(1, 2, 3)));
         assert!(!s.insert(tr(1, 2, 3)));
@@ -313,7 +191,7 @@ mod tests {
     }
 
     #[test]
-    fn remove_updates_all_indexes() {
+    fn remove_is_seen_by_every_read() {
         let mut s = sample();
         assert!(s.remove(&tr(1, 10, 2)));
         assert!(!s.remove(&tr(1, 10, 2)));
@@ -368,12 +246,10 @@ mod tests {
     }
 
     #[test]
-    fn objects_and_subjects_of() {
-        let s = sample();
-        let objs: Vec<_> = s.objects_of(t(1), t(10)).collect();
-        assert_eq!(objs, vec![t(2), t(3)]);
-        let subs: Vec<_> = s.subjects_of(t(10), t(3)).collect();
-        assert_eq!(subs, vec![t(1), t(2)]);
+    fn with_predicate_orders_by_object_then_subject() {
+        let s = TripleStore::from_triples([tr(1, 10, 3), tr(2, 10, 2), tr(3, 10, 2), tr(2, 11, 1)]);
+        let got: Vec<_> = s.with_predicate(t(10)).collect();
+        assert_eq!(got, vec![tr(2, 10, 2), tr(3, 10, 2), tr(1, 10, 3)]);
     }
 
     #[test]
@@ -387,14 +263,6 @@ mod tests {
         let mut s2 = TripleStore::new();
         s2.insert(tr(5, 5, 5));
         assert_eq!(s2.mention_count(t(5)), 1);
-    }
-
-    #[test]
-    fn distinct_terms_per_position() {
-        let s = sample();
-        assert_eq!(s.distinct_subjects(), vec![t(1), t(2), t(3)]);
-        assert_eq!(s.distinct_predicates(), vec![t(10), t(11), t(12)]);
-        assert_eq!(s.distinct_objects(), vec![t(1), t(2), t(3)]);
     }
 
     #[test]
@@ -422,6 +290,5 @@ mod tests {
         let s = TripleStore::new();
         assert!(s.is_empty());
         assert_eq!(s.match_pattern(TriplePattern::ANY).count(), 0);
-        assert_eq!(s.distinct_subjects(), Vec::<TermId>::new());
     }
 }

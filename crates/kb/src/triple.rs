@@ -6,7 +6,9 @@ use std::fmt;
 /// A subject–predicate–object statement over interned terms.
 ///
 /// Twelve bytes, `Copy`, totally ordered — the unit of storage, diffing,
-/// and change counting throughout the workspace.
+/// and change counting throughout the workspace. The derived order
+/// compares subject, then predicate, then object: the SPO order a
+/// [`TripleStore`](crate::TripleStore) keeps and range-scans.
 #[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Triple {
     /// Subject term.

@@ -33,8 +33,8 @@ impl EvolutionMeasure for ClassChangeCount {
     fn compute(&self, ctx: &EvolutionContext) -> MeasureReport {
         let scores = ctx
             .all_classes()
-            .into_iter()
-            .map(|c| (c, ctx.changes_for_term(c) as f64))
+            .iter()
+            .map(|&c| (c, ctx.changes_for_term(c) as f64))
             .collect();
         MeasureReport::from_scores(self.id(), self.category(), self.target(), scores)
     }

@@ -140,27 +140,12 @@ impl EvolutionContext {
     }
 
     /// δ(n): the number of triples of the step's delta, added or
-    /// removed, that mention `term` in any position — what
-    /// [`LowLevelDelta::changes_for_term`] returns, read from a table
-    /// built in one pass over the delta the first time any term is
-    /// asked for, so the counting and neighbourhood measures share one
-    /// scan per step.
+    /// removed, that mention `term` in any position, read from the
+    /// delta's [`term_counts`](LowLevelDelta::term_counts), tallied the
+    /// first time any term is asked for, so the counting and
+    /// neighbourhood measures share one pass per step.
     pub fn changes_for_term(&self, term: TermId) -> usize {
-        let counts = self.change_counts.get_or_init(|| {
-            let mut counts = FxHashMap::default();
-            for t in self.delta.added.iter().chain(self.delta.removed.iter()) {
-                // A triple counts once per distinct term it mentions,
-                // as `TripleStore::mentioning` deduplicates it.
-                *counts.entry(t.s).or_insert(0) += 1;
-                if t.p != t.s {
-                    *counts.entry(t.p).or_insert(0) += 1;
-                }
-                if t.o != t.s && t.o != t.p {
-                    *counts.entry(t.o).or_insert(0) += 1;
-                }
-            }
-            counts
-        });
+        let counts = self.change_counts.get_or_init(|| self.delta.term_counts());
         counts.get(&term).copied().unwrap_or(0)
     }
 
@@ -192,18 +177,10 @@ impl EvolutionContext {
         self.fingerprint
     }
 
-    /// All classes present in either version, ascending by id.
-    pub fn all_classes(&self) -> Vec<TermId> {
-        let mut out: Vec<TermId> = self
-            .before
-            .classes()
-            .iter()
-            .chain(self.after.classes().iter())
-            .copied()
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        out
+    /// All classes present in either version, ascending by id: the
+    /// nodes of [`graph_union`](EvolutionContext::graph_union).
+    pub fn all_classes(&self) -> &[TermId] {
+        self.graph_union.terms()
     }
 
     /// All properties present in either version, ascending by id.
@@ -265,14 +242,12 @@ fn digest_step(
 /// Build the union class graph of two schema views: nodes are the union
 /// of class sets, edges the union of class adjacencies.
 fn union_graph(before: &SchemaView, after: &SchemaView) -> SchemaGraph {
-    let mut nodes: Vec<TermId> = before
+    let nodes: Vec<TermId> = before
         .classes()
         .iter()
         .chain(after.classes().iter())
         .copied()
         .collect();
-    nodes.sort_unstable();
-    nodes.dedup();
     let mut edges: Vec<(TermId, TermId)> = Vec::new();
     for view in [before, after] {
         for &c in view.classes() {

@@ -165,8 +165,8 @@ impl EvolutionMeasure for InstanceEntropyShift {
         let after = entropy_contributions(&ctx.after);
         let scores = ctx
             .all_classes()
-            .into_iter()
-            .map(|c| {
+            .iter()
+            .map(|&c| {
                 let b = before.get(&c).copied().unwrap_or(0.0);
                 let a = after.get(&c).copied().unwrap_or(0.0);
                 (c, (a - b).abs())

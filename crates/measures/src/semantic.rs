@@ -41,8 +41,8 @@ impl EvolutionMeasure for InCentralityShift {
         let (before, after) = (ctx.before.centralities(), ctx.after.centralities());
         let scores = ctx
             .all_classes()
-            .into_iter()
-            .map(|c| (c, (after.cin(c) - before.cin(c)).abs()))
+            .iter()
+            .map(|&c| (c, (after.cin(c) - before.cin(c)).abs()))
             .collect();
         MeasureReport::from_scores(self.id(), self.category(), self.target(), scores)
     }
@@ -74,8 +74,8 @@ impl EvolutionMeasure for OutCentralityShift {
         let (before, after) = (ctx.before.centralities(), ctx.after.centralities());
         let scores = ctx
             .all_classes()
-            .into_iter()
-            .map(|c| (c, (after.cout(c) - before.cout(c)).abs()))
+            .iter()
+            .map(|&c| (c, (after.cout(c) - before.cout(c)).abs()))
             .collect();
         MeasureReport::from_scores(self.id(), self.category(), self.target(), scores)
     }
@@ -108,8 +108,8 @@ impl EvolutionMeasure for RelevanceShift {
         let (before, after) = (ctx.before.relevance(), ctx.after.relevance());
         let scores = ctx
             .all_classes()
-            .into_iter()
-            .map(|c| {
+            .iter()
+            .map(|&c| {
                 let b = before.get(&c).copied().unwrap_or(0.0);
                 let a = after.get(&c).copied().unwrap_or(0.0);
                 (c, (a - b).abs())

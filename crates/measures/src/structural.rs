@@ -19,8 +19,8 @@ fn shift_scores(
     value_after: impl Fn(&SchemaGraph, u32) -> f64,
 ) -> Vec<(TermId, f64)> {
     ctx.all_classes()
-        .into_iter()
-        .map(|class| {
+        .iter()
+        .map(|&class| {
             let before = ctx
                 .graph_before
                 .node_of(class)

@@ -5,7 +5,8 @@
 //! measure's inputs would move both sides together and go unseen. These
 //! tests pin the exact `ContextFingerprint::digest` of several spans
 //! (forward, idle, reversed) and the `(term id, f64::to_bits)` report of
-//! every standard measure over one hand-built three-version history.
+//! every standard and extension measure over one hand-built
+//! three-version history.
 
 use evorec_kb::{Triple, TripleStore};
 use evorec_measures::{
@@ -383,6 +384,78 @@ fn standard_measure_scores_are_pinned() {
         let pinned_ids: Vec<_> = pinned.iter().map(|&(id, _)| id.into()).collect();
         assert_eq!(registry.ids(), pinned_ids, "registry order");
         for (measure, &(id, bits)) in registry.all().iter().zip(pinned) {
+            assert_eq!(
+                score_bits(measure.as_ref(), &ctx),
+                bits,
+                "{id} over {from} → {v2}"
+            );
+        }
+    }
+}
+
+/// The reports of the three measures [`MeasureRegistry::extended`] adds
+/// to the standard catalogue, in registry order, over V0 → V2 and
+/// V1 → V2.
+const EXTENSIONS_V0_V2: &[(&str, &[(u32, u64)])] = &[
+    (
+        "property-importance-shift",
+        &[(0x14, 0x0000_0000_0000_0000), (0x15, 0x0000_0000_0000_0000)],
+    ),
+    (
+        "property-neighbourhood-change-count",
+        &[(0x15, 0x4018_0000_0000_0000), (0x14, 0x4008_0000_0000_0000)],
+    ),
+    (
+        "instance-entropy-shift",
+        &[
+            (0x12, 0x3fd7_6fe3_4e3c_040e),
+            (0x11, 0x3fd6_2e42_fefa_39ef),
+            (0x13, 0x3fd6_2e42_fefa_39ef),
+            (0x0f, 0x3f94_1a04_f41c_a1f0),
+            (0x10, 0x3f94_1a04_f41c_a1f0),
+            (0x0c, 0x0000_0000_0000_0000),
+            (0x0d, 0x0000_0000_0000_0000),
+            (0x0e, 0x0000_0000_0000_0000),
+        ],
+    ),
+];
+
+const EXTENSIONS_V1_V2: &[(&str, &[(u32, u64)])] = &[
+    (
+        "property-importance-shift",
+        &[(0x14, 0x0000_0000_0000_0000), (0x15, 0x0000_0000_0000_0000)],
+    ),
+    (
+        "property-neighbourhood-change-count",
+        &[(0x15, 0x4010_0000_0000_0000), (0x14, 0x4000_0000_0000_0000)],
+    ),
+    (
+        "instance-entropy-shift",
+        &[
+            (0x12, 0x3fd7_6fe3_4e3c_040e),
+            (0x10, 0x3fd6_2e42_fefa_39ef),
+            (0x11, 0x3fd6_2e42_fefa_39ef),
+            (0x0f, 0x3f94_1a04_f41c_a1f0),
+            (0x13, 0x3f94_1a04_f41c_a1f0),
+            (0x0c, 0x0000_0000_0000_0000),
+            (0x0d, 0x0000_0000_0000_0000),
+            (0x0e, 0x0000_0000_0000_0000),
+        ],
+    ),
+];
+
+#[test]
+fn extension_measure_scores_are_pinned() {
+    let (vs, [v0, v1, v2]) = history();
+    let standard = MeasureRegistry::standard().len();
+    let registry = MeasureRegistry::extended();
+    let extensions = &registry.all()[standard..];
+    for (from, pinned) in [(v0, EXTENSIONS_V0_V2), (v1, EXTENSIONS_V1_V2)] {
+        let ctx = EvolutionContext::build(&vs, from, v2);
+        let ids: Vec<_> = extensions.iter().map(|m| m.id()).collect();
+        let pinned_ids: Vec<_> = pinned.iter().map(|&(id, _)| id.into()).collect();
+        assert_eq!(ids, pinned_ids, "extension order");
+        for (measure, &(id, bits)) in extensions.iter().zip(pinned) {
             assert_eq!(
                 score_bits(measure.as_ref(), &ctx),
                 bits,

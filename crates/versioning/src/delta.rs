@@ -2,10 +2,12 @@
 //!
 //! Implements the δ of ICDE'17 §II(a): for an evolution V1 → V2,
 //! `added` is δ⁺(V1,V2), `removed` is δ⁻(V1,V2), the delta size is
-//! |δ| = |δ⁺| + |δ⁻|, and [`LowLevelDelta::changes_for_term`] is the
-//! per-class/property restriction δ(n).
+//! |δ| = |δ⁺| + |δ⁻|, and the per-class/property restriction δ(n) is
+//! tallied for every term at once by [`LowLevelDelta::term_counts`].
+//! [`LowLevelDelta::changes_for_term`] computes one term's δ(n) by
+//! scanning both sides: the reference the tally is checked against.
 
-use evorec_kb::{TermId, Triple, TripleStore};
+use evorec_kb::{FxHashMap, TermId, Triple, TripleStore};
 
 /// The added/removed triple sets of one evolution step.
 #[derive(Default, Clone, Debug, PartialEq, Eq)]
@@ -62,9 +64,29 @@ impl LowLevelDelta {
     }
 
     /// δ(n): the number of changed triples in which `term` appears
-    /// (in any position, added or removed).
+    /// (in any position, added or removed), by a scan of both sides.
+    /// This is the per-term reference; a reader of δ(n) for many terms
+    /// reads [`term_counts`](LowLevelDelta::term_counts) once instead.
     pub fn changes_for_term(&self, term: TermId) -> usize {
         self.added.mention_count(term) + self.removed.mention_count(term)
+    }
+
+    /// δ(n) of every term the delta mentions, tallied in one pass: each
+    /// changed triple counts once for each distinct term it mentions, as
+    /// [`changes_for_term`](LowLevelDelta::changes_for_term) counts it.
+    /// A term absent from the table has δ(n) = 0.
+    pub fn term_counts(&self) -> FxHashMap<TermId, usize> {
+        let mut counts = FxHashMap::default();
+        for t in self.added.iter().chain(self.removed.iter()) {
+            *counts.entry(t.s).or_insert(0) += 1;
+            if t.p != t.s {
+                *counts.entry(t.p).or_insert(0) += 1;
+            }
+            if t.o != t.s && t.o != t.p {
+                *counts.entry(t.o).or_insert(0) += 1;
+            }
+        }
+        counts
     }
 
     /// The changed triples mentioning `term`, tagged with whether each was
@@ -218,6 +240,21 @@ mod tests {
         assert_eq!(d.changes_for_term(t(1)), 0);
         // term never present.
         assert_eq!(d.changes_for_term(t(99)), 0);
+    }
+
+    #[test]
+    fn term_counts_tally_what_changes_for_term_scans() {
+        let (v1, v2) = snapshots();
+        let mut d = LowLevelDelta::compute(&v1, &v2);
+        // A reflexive triple mentions its one term once.
+        d.added.insert(tr(8, 8, 8));
+        let counts = d.term_counts();
+        assert_eq!(counts.get(&t(8)), Some(&1));
+        assert!(!counts.contains_key(&t(1)), "unchanged terms are absent");
+        for term in (0..12).map(t) {
+            let tallied = counts.get(&term).copied().unwrap_or(0);
+            assert_eq!(tallied, d.changes_for_term(term), "{term:?}");
+        }
     }
 
     #[test]

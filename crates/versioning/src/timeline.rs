@@ -107,17 +107,8 @@ impl Timeline {
             let to = versions[step + 1].id;
             let delta = store.delta(from, to);
             step_sizes.push(delta.size());
-            let mut touched: Vec<TermId> = Vec::new();
-            for t in delta.added.iter().chain(delta.removed.iter()) {
-                touched.push(t.s);
-                touched.push(t.p);
-                touched.push(t.o);
-            }
-            touched.sort_unstable();
-            touched.dedup();
-            for term in touched {
-                let entry = series.entry(term).or_insert_with(|| vec![0; steps]);
-                entry[step] = delta.changes_for_term(term);
+            for (term, count) in delta.term_counts() {
+                series.entry(term).or_insert_with(|| vec![0; steps])[step] = count;
             }
         }
         Timeline {

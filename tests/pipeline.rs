@@ -5,9 +5,14 @@ use evorec::core::{
     anonymity::anonymise, Explainer, FeedbackLoop, FeedbackSignal, GroupAggregation,
     Recommender, RecommenderConfig, UserId, UserProfile,
 };
+use evorec::kb::FxHasher;
 use evorec::measures::{EvolutionContext, MeasureCategory, MeasureRegistry};
-use evorec::synth::workload::{clinical, curated_kb, sensor_stream, social_feed};
-use evorec::versioning::{Archive, ArchivePolicy, Justification, ProvenanceLedger};
+use evorec::synth::workload::{clinical, curated_kb, sensor_stream, social_feed, Workload};
+use evorec::synth::Scenario;
+use evorec::versioning::{
+    describe_all, Archive, ArchivePolicy, Justification, ProvenanceLedger, VersionId,
+};
+use std::hash::Hasher;
 
 #[test]
 fn every_workload_supports_the_full_pipeline() {
@@ -198,4 +203,46 @@ fn delta_codec_roundtrips_generated_histories() {
     assert_eq!(&decoded, delta.as_ref());
     // The wire format beats naive 12-byte triples on real deltas.
     assert!(wire.len() < delta.size() * 12 + 16);
+}
+
+/// Line count and FxHash digest of `describe_all` over one step, its
+/// lines joined by newlines: a pin on the order of the detected changes,
+/// not only on their set, since an explanation shows only the first few.
+fn change_description_digest(world: &Workload, from: VersionId, to: VersionId) -> (usize, u64) {
+    let ctx = EvolutionContext::build(&world.kb.store, from, to);
+    let lines = describe_all(ctx.changes(), world.kb.store.interner());
+    let mut h = FxHasher::default();
+    h.write(lines.join("\n").as_bytes());
+    (lines.len(), h.finish())
+}
+
+#[test]
+fn change_descriptions_keep_their_order() {
+    // Thirty moves per refactor: enough re-parented classes that the
+    // order `ChangeSet::detect` reads subsumption edits in shows.
+    let mut world = curated_kb(100, 11);
+    world.kb.evolve(&Scenario::SchemaRefactor { moves: 30 }, 12);
+    world.kb.evolve(&Scenario::UniformChurn { rate: 0.05 }, 13);
+    world.kb.evolve(&Scenario::SchemaRefactor { moves: 30 }, 14);
+    let versions: Vec<VersionId> = world.kb.store.versions().iter().map(|v| v.id).collect();
+    let mut got: Vec<(usize, u64)> = versions
+        .windows(2)
+        .map(|pair| change_description_digest(&world, pair[0], pair[1]))
+        .collect();
+    got.push(change_description_digest(
+        &world,
+        world.base(),
+        world.head(),
+    ));
+    assert_eq!(
+        got,
+        [
+            (41, 0x4b2a_1a95_cbb4_b751),  // V0 → V1, uniform churn
+            (121, 0x7a01_8071_ec37_4a45), // V1 → V2, hotspot
+            (26, 0x4f05_97a5_5941_1bd8),  // V2 → V3, schema refactor
+            (42, 0x66a3_34cd_99c2_773f),  // V3 → V4, uniform churn
+            (25, 0xc556_01e7_c91e_cae0),  // V4 → V5, schema refactor
+            (242, 0xaacb_3518_f47b_48b4), // V0 → V5, the whole span
+        ]
+    );
 }

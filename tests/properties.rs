@@ -190,10 +190,12 @@ proptest! {
 }
 
 proptest! {
-    /// The three store indexes always agree: any pattern query returns
-    /// exactly the triples a full scan + filter would.
+    /// Every pattern read returns exactly the triples a full scan and
+    /// filter would, in SPO order, whether it range-scans a bound
+    /// subject or filters; `with_predicate` returns the filtered scan
+    /// ordered by (object, subject).
     #[test]
-    fn store_indexes_agree_with_full_scan(
+    fn pattern_queries_equal_a_filtered_scan(
         triples in arb_triples(12, 60),
         s in prop::option::of(0u32..12),
         p in prop::option::of(0u32..12),
@@ -201,11 +203,14 @@ proptest! {
     ) {
         let store = TripleStore::from_triples(triples.clone());
         let pattern = TriplePattern::new(s.map(t), p.map(t), o.map(t));
-        let mut via_index: Vec<Triple> = store.match_pattern(pattern).collect();
-        via_index.sort_unstable();
-        let mut via_scan: Vec<Triple> = store.iter().filter(|tr| pattern.matches(tr)).collect();
-        via_scan.sort_unstable();
-        prop_assert_eq!(via_index, via_scan);
+        let via_pattern: Vec<Triple> = store.match_pattern(pattern).collect();
+        let via_scan: Vec<Triple> = store.iter().filter(|tr| pattern.matches(tr)).collect();
+        prop_assert_eq!(via_pattern, via_scan);
+        let predicate = t(p.unwrap_or(0));
+        let by_predicate: Vec<Triple> = store.with_predicate(predicate).collect();
+        let mut by_scan: Vec<Triple> = store.iter().filter(|tr| tr.p == predicate).collect();
+        by_scan.sort_unstable_by_key(|tr| (tr.o, tr.s));
+        prop_assert_eq!(by_predicate, by_scan);
     }
 
     /// Insert-then-remove leaves the store exactly as before.

@@ -92,13 +92,18 @@ proptest! {
         }
         let timeline = Timeline::build(&vs);
         prop_assert_eq!(timeline.steps(), snapshots.len() - 1);
-        // Step sizes agree with direct delta computation.
+        // Step sizes agree with direct delta computation, and each
+        // step of every term's series is its δ(n) by a per-term scan
+        // (the universe of `arb_triples(10, _)` is terms 0..10).
         for step in 0..timeline.steps() {
             let d = vs.delta(
                 evorec::versioning::VersionId::from_u32(step as u32),
                 evorec::versioning::VersionId::from_u32(step as u32 + 1),
             );
             prop_assert_eq!(timeline.step_sizes()[step], d.size());
+            for term in (0..10).map(t) {
+                prop_assert_eq!(timeline.series_of(term)[step], d.changes_for_term(term), "{:?}", term);
+            }
         }
         // Every term's series sums to its reported total.
         for (term, total) in timeline.most_changed(usize::MAX) {
